@@ -1,8 +1,11 @@
 // Micro: columnar codec throughput — encode and decode per column type,
 // plus dictionary vs plain strings (the server-side loading/scan costs).
+// The BM_DecodeGroup cells decode one row group's column (1000 rows, ~10%
+// NULL), the unit a skipping scan decodes per surviving group.
 
 #include <benchmark/benchmark.h>
 
+#include "bench_gbench_main.h"
 #include "columnar/encoding.h"
 #include "common/random.h"
 
@@ -12,10 +15,15 @@ using namespace ciao;
 using columnar::ColumnType;
 using columnar::ColumnVector;
 
-ColumnVector MakeColumn(ColumnType type, size_t rows, size_t distinct) {
+ColumnVector MakeColumn(ColumnType type, size_t rows, size_t distinct,
+                        double null_fraction = 0.0) {
   Rng rng(11);
   ColumnVector col(type);
   for (size_t i = 0; i < rows; ++i) {
+    if (null_fraction > 0 && rng.NextBool(null_fraction)) {
+      col.AppendNull();
+      continue;
+    }
     switch (type) {
       case ColumnType::kInt64:
         col.AppendInt64(rng.NextInt(-1000000, 1000000));
@@ -46,9 +54,7 @@ void BM_Encode(benchmark::State& state, ColumnType type, size_t distinct) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
 }
 
-void BM_Decode(benchmark::State& state, ColumnType type, size_t distinct) {
-  const size_t rows = 100000;
-  const ColumnVector col = MakeColumn(type, rows, distinct);
+void DecodeLoop(benchmark::State& state, const ColumnVector& col) {
   std::string buf;
   columnar::EncodeColumn(col, &buf);
   state.counters["encoded_bytes"] = static_cast<double>(buf.size());
@@ -56,7 +62,17 @@ void BM_Decode(benchmark::State& state, ColumnType type, size_t distinct) {
     size_t offset = 0;
     benchmark::DoNotOptimize(columnar::DecodeColumn(buf, &offset));
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(col.size()));
+}
+
+void BM_Decode(benchmark::State& state, ColumnType type, size_t distinct) {
+  DecodeLoop(state, MakeColumn(type, 100000, distinct));
+}
+
+void BM_DecodeGroup(benchmark::State& state, ColumnType type,
+                    size_t distinct) {
+  DecodeLoop(state, MakeColumn(type, 1000, distinct, 0.1));
 }
 
 }  // namespace
@@ -71,5 +87,10 @@ BENCHMARK_CAPTURE(BM_Decode, double, ColumnType::kDouble, 0);
 BENCHMARK_CAPTURE(BM_Decode, bool, ColumnType::kBool, 0);
 BENCHMARK_CAPTURE(BM_Decode, string_dict, ColumnType::kString, 8);
 BENCHMARK_CAPTURE(BM_Decode, string_plain, ColumnType::kString, 1000000);
+BENCHMARK_CAPTURE(BM_DecodeGroup, int64, ColumnType::kInt64, 0);
+BENCHMARK_CAPTURE(BM_DecodeGroup, double, ColumnType::kDouble, 0);
+BENCHMARK_CAPTURE(BM_DecodeGroup, bool, ColumnType::kBool, 0);
+BENCHMARK_CAPTURE(BM_DecodeGroup, string_dict, ColumnType::kString, 8);
+BENCHMARK_CAPTURE(BM_DecodeGroup, string_plain, ColumnType::kString, 1000000);
 
-BENCHMARK_MAIN();
+CIAO_BENCH_JSON_MAIN("bench_micro_columnar")

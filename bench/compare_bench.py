@@ -5,9 +5,10 @@ Compares the merged hot-path bench report (BENCH_hotpath.json, written by
 bench/bench_report.h) against the checked-in baseline snapshot and fails
 when any shared entry regressed by more than the tolerance (default 15%)
 on a gated metric: items_per_second (higher is better) or — for the e2e
-figure cells — prefilter_seconds and query_seconds (lower is better;
-cells whose baseline time is under 1 ms do no real work on that metric
-and sit in timer noise, so they are skipped).
+figure cells — prefilter_seconds, query_seconds and loading_seconds
+(lower is better; cells whose baseline time is under 1 ms do no real
+work on that metric and sit in timer noise, so they are skipped) and
+ingest_records_per_second (higher is better).
 
 Usage:
   compare_bench.py REPORT [--baseline BASELINE] [--tolerance 0.15]
@@ -29,6 +30,9 @@ METRICS = {
     "items_per_second": (True, 0.0),
     "prefilter_seconds": (False, 1e-3),
     "query_seconds": (False, 1e-3),
+    # Server-side ingest of the fig5 cells: load wall time and throughput.
+    "loading_seconds": (False, 1e-3),
+    "ingest_records_per_second": (True, 0.0),
     # Row groups pruned before decode (relayout skew cell): a drop means
     # clustering or the density/zone-map skip path stopped firing.
     "groups_skipped": (True, 0.0),

@@ -106,6 +106,40 @@ class CompareBenchGateTest(unittest.TestCase):
             {"fig5": {"query_seconds": 0.0}})
         self.assertEqual(code, 0, out)
 
+    def test_loading_seconds_regression_fails(self):
+        code, out = run_gate(
+            {"fig5": {"loading_seconds": 0.2}},
+            {"fig5": {"loading_seconds": 0.08}})
+        self.assertEqual(code, 1, out)
+        self.assertIn("loading_seconds", out)
+
+    def test_loading_seconds_within_tolerance_passes(self):
+        code, out = run_gate(
+            {"fig5": {"loading_seconds": 0.085}},
+            {"fig5": {"loading_seconds": 0.08}})
+        self.assertEqual(code, 0, out)
+        self.assertIn("[ok       ] fig5/loading_seconds", out)
+
+    def test_sub_noise_loading_baseline_stays_skipped(self):
+        code, out = run_gate(
+            {"fig5": {"loading_seconds": 0.5}},
+            {"fig5": {"loading_seconds": 0.0005}})
+        self.assertEqual(code, 0, out)
+
+    def test_ingest_throughput_regression_fails(self):
+        code, out = run_gate(
+            {"fig5": {"ingest_records_per_second": 50000.0}},
+            {"fig5": {"ingest_records_per_second": 100000.0}})
+        self.assertEqual(code, 1, out)
+        self.assertIn("ingest_records_per_second", out)
+
+    def test_ingest_throughput_improvement_passes(self):
+        code, out = run_gate(
+            {"fig5": {"ingest_records_per_second": 150000.0}},
+            {"fig5": {"ingest_records_per_second": 100000.0}})
+        self.assertEqual(code, 0, out)
+        self.assertIn("[ok       ] fig5/ingest_records_per_second", out)
+
     def test_missing_entry_does_not_fail(self):
         code, out = run_gate(
             {}, {"scan": {"items_per_second": 100.0}})

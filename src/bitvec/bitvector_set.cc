@@ -61,12 +61,18 @@ void BitVectorSet::SerializeTo(std::string* out) const {
 
 Result<BitVectorSet> BitVectorSet::Deserialize(std::string_view buffer,
                                                size_t* offset) {
-  if (*offset + 4 > buffer.size()) {
+  if (*offset > buffer.size() || buffer.size() - *offset < 4) {
     return Status::Corruption("BitVectorSet: truncated count");
   }
   uint32_t count = 0;
   std::memcpy(&count, buffer.data() + *offset, 4);
   *offset += 4;
+  // The count is untrusted: every vector needs at least its 8-byte size
+  // header, so a count the remaining bytes cannot hold is corrupt rather
+  // than a reason to reserve gigabytes.
+  if (count > (buffer.size() - *offset) / 8) {
+    return Status::Corruption("BitVectorSet: count exceeds payload");
+  }
   BitVectorSet out;
   out.vectors_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -84,7 +90,7 @@ Result<BitVectorSet> BitVectorSet::Deserialize(std::string_view buffer,
 
 Result<BitVectorSetView> BitVectorSetView::Parse(std::string_view buffer,
                                                  size_t* offset) {
-  if (*offset + 4 > buffer.size()) {
+  if (*offset > buffer.size() || buffer.size() - *offset < 4) {
     return Status::Corruption("BitVectorSetView: truncated count");
   }
   uint32_t count = 0;
@@ -94,18 +100,22 @@ Result<BitVectorSetView> BitVectorSetView::Parse(std::string_view buffer,
   view.count_ = count;
   if (count == 0) return view;
 
-  if (*offset + 8 > buffer.size()) {
+  const size_t available = buffer.size() - *offset;
+  if (available < 8) {
     return Status::Corruption("BitVectorSetView: truncated size header");
   }
   uint64_t n = 0;
   std::memcpy(&n, buffer.data() + *offset, 8);
-  const size_t words = (static_cast<size_t>(n) + 63) / 64;
+  // stride * count must fit in `available`; check each factor by
+  // division so neither n + 63 nor the product can wrap.
+  const uint64_t words = n / 64 + (n % 64 != 0);
+  if (words > (available - 8) / 8 ||
+      count > available / (8 + words * 8)) {
+    return Status::Corruption("BitVectorSetView: truncated payload");
+  }
   view.num_records_ = static_cast<size_t>(n);
   view.stride_ = 8 + words * 8;
   const size_t total = view.stride_ * count;
-  if (*offset + total > buffer.size()) {
-    return Status::Corruption("BitVectorSetView: truncated payload");
-  }
   view.payload_ = buffer.substr(*offset, total);
   *offset += total;
   return view;

@@ -4,6 +4,16 @@ namespace ciao::columnar {
 
 ColumnVector::ColumnVector(ColumnType type) : type_(type) {}
 
+ColumnVector::ColumnVector(ColumnType type, Storage storage)
+    : type_(type),
+      size_(storage.validity.size()),
+      validity_(std::move(storage.validity)),
+      ints_(std::move(storage.ints)),
+      doubles_(std::move(storage.doubles)),
+      bools_(std::move(storage.bools)),
+      offsets_(std::move(storage.offsets)),
+      buffer_(std::move(storage.buffer)) {}
+
 void ColumnVector::DropDictionary() {
   if (!dict_values_.empty()) {
     dict_codes_.clear();

@@ -15,9 +15,30 @@ namespace ciao::columnar {
 /// live in a single arena buffer addressed by offsets, so scans return
 /// zero-copy string_views (significant for per-query scan cost, which the
 /// paper's Fig 8/10/12 measure).
+///
+/// Every NULL slot holds its type's zeroed placeholder: 0, 0.0, false or
+/// an empty string span. The typed appends keep that state row by row;
+/// the decoder (columnar/encoding.h) builds it span by span and adopts it
+/// through the Storage constructor.
 class ColumnVector {
  public:
   explicit ColumnVector(ColumnType type = ColumnType::kString);
+
+  /// Whole-column storage for the bulk-adopt constructor. Only the
+  /// payload of the column's type is filled: size() == validity.size()
+  /// values in `ints`/`doubles`, as many bits in `bools`, or size() + 1
+  /// monotone `offsets` into `buffer` starting at 0 and ending at
+  /// buffer.size(). The caller has validated all of it and zeroed every
+  /// NULL slot; the constructor only moves it in.
+  struct Storage {
+    BitVector validity;
+    std::vector<int64_t> ints;
+    std::vector<double> doubles;
+    BitVector bools;
+    std::vector<uint32_t> offsets{0};
+    std::string buffer;
+  };
+  ColumnVector(ColumnType type, Storage storage);
 
   ColumnType type() const { return type_; }
   size_t size() const { return size_; }
@@ -72,9 +93,10 @@ class ColumnVector {
   // encoding; see columnar/encoding.h) ----
   // When present, dict_codes()[i] indexes dict_values() for every row
   // (NULL rows carry code 0; validity masks them), letting equality
-  // kernels compare small integers instead of bytes. Any append drops the
-  // view — it is a decode-time acceleration structure, not state the
-  // writer maintains.
+  // kernels compare small integers instead of bytes. DecodeColumn installs
+  // it for every dictionary-encoded column with a non-empty dictionary.
+  // Any append drops the view — it is a decode-time acceleration
+  // structure, not state the writer maintains.
   bool has_dictionary() const { return !dict_values_.empty(); }
   const std::vector<uint32_t>& dict_codes() const { return dict_codes_; }
   const std::vector<std::string>& dict_values() const { return dict_values_; }

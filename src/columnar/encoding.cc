@@ -1,5 +1,6 @@
 #include "columnar/encoding.h"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -40,74 +41,174 @@ void EncodeStringDictionary(const ColumnVector& col,
   }
 }
 
-Result<ColumnVector> DecodeStringPlain(wire::Cursor* cursor, size_t rows,
-                                       const BitVector& validity) {
-  std::vector<uint32_t> offsets(rows + 1);
-  for (uint32_t& off : offsets) {
-    CIAO_RETURN_IF_ERROR(cursor->ReadU32(&off));
+using Storage = ColumnVector::Storage;
+
+// Calls fn(i) for every NULL row i, one validity word at a time, so
+// columns without NULLs cost one word test per 64 rows.
+template <typename Fn>
+void ForEachNull(const BitVector& validity, Fn&& fn) {
+  const size_t rows = validity.size();
+  for (size_t wi = 0; wi < validity.num_words(); ++wi) {
+    uint64_t nulls = ~validity.word(wi);
+    if ((wi + 1) * 64 > rows) nulls &= (1ULL << (rows & 63)) - 1;
+    while (nulls != 0) {
+      fn(wi * 64 + static_cast<size_t>(__builtin_ctzll(nulls)));
+      nulls &= nulls - 1;
+    }
   }
+}
+
+// Reads `count` fixed-width values, checking the whole span up front.
+Status ReadSpan(wire::Cursor* cursor, size_t count, size_t width,
+                std::string_view* raw) {
+  if (count > cursor->remaining() / width) {
+    return Status::Corruption("columnar file truncated reading raw bytes");
+  }
+  return cursor->ReadRaw(count * width, raw);
+}
+
+template <typename T>
+Status DecodeFixed(wire::Cursor* cursor, const BitVector& validity,
+                   std::vector<T>* values) {
+  const size_t rows = validity.size();
+  std::string_view raw;
+  CIAO_RETURN_IF_ERROR(ReadSpan(cursor, rows, sizeof(T), &raw));
+  values->resize(rows);
+  if (rows > 0) std::memcpy(values->data(), raw.data(), raw.size());
+  ForEachNull(validity, [values](size_t i) { (*values)[i] = T{}; });
+  return Status::OK();
+}
+
+Status DecodeStringPlain(wire::Cursor* cursor, Storage* st) {
+  const size_t rows = st->validity.size();
+  std::string_view raw;
+  CIAO_RETURN_IF_ERROR(ReadSpan(cursor, rows + 1, sizeof(uint32_t), &raw));
+  std::vector<uint32_t>& offsets = st->offsets;
+  offsets.resize(rows + 1);
+  std::memcpy(offsets.data(), raw.data(), raw.size());
   std::string_view buffer;
   CIAO_RETURN_IF_ERROR(cursor->ReadBytes(&buffer));
   if (offsets[0] != 0 || offsets[rows] != buffer.size()) {
     return Status::Corruption("string column: inconsistent offsets");
   }
-  ColumnVector col(ColumnType::kString);
-  for (size_t i = 0; i < rows; ++i) {
-    if (offsets[i + 1] < offsets[i] || offsets[i + 1] > buffer.size()) {
-      return Status::Corruption("string column: offset out of range");
-    }
-    if (validity.Get(i)) {
-      col.AppendString(buffer.substr(offsets[i], offsets[i + 1] - offsets[i]));
-    } else {
-      col.AppendNull();
-    }
+  // Monotone offsets that end at buffer.size() are all in range.
+  bool monotone = true;
+  for (size_t i = 0; i < rows; ++i) monotone &= offsets[i] <= offsets[i + 1];
+  if (!monotone) {
+    return Status::Corruption("string column: offset out of range");
   }
-  return col;
+  bool null_spans = false;
+  ForEachNull(st->validity, [&](size_t i) {
+    null_spans |= offsets[i] != offsets[i + 1];
+  });
+  if (!null_spans) {
+    st->buffer.assign(buffer);
+    return Status::OK();
+  }
+  // A NULL slot carrying bytes decodes as empty: rebuild the arena from
+  // the valid spans only.
+  st->buffer.reserve(buffer.size());
+  uint32_t begin = 0;
+  for (size_t i = 0; i < rows; ++i) {
+    const uint32_t end = offsets[i + 1];
+    if (st->validity.Get(i)) {
+      st->buffer.append(buffer.substr(begin, end - begin));
+    }
+    begin = end;
+    offsets[i + 1] = static_cast<uint32_t>(st->buffer.size());
+  }
+  return Status::OK();
 }
 
-Result<ColumnVector> DecodeStringDictionary(wire::Cursor* cursor, size_t rows,
-                                            const BitVector& validity) {
+Status DecodeStringDictionary(wire::Cursor* cursor, Storage* st,
+                              std::vector<uint32_t>* codes,
+                              std::vector<std::string>* values) {
+  const BitVector& validity = st->validity;
+  const size_t rows = validity.size();
   uint32_t dict_size = 0;
   CIAO_RETURN_IF_ERROR(cursor->ReadU32(&dict_size));
+  // Each entry carries at least its u32 length prefix.
+  if (dict_size > cursor->remaining() / sizeof(uint32_t)) {
+    return Status::Corruption("dictionary column: truncated dictionary");
+  }
   std::vector<std::string_view> entries(dict_size);
-  for (uint32_t i = 0; i < dict_size; ++i) {
-    CIAO_RETURN_IF_ERROR(cursor->ReadBytes(&entries[i]));
+  for (std::string_view& entry : entries) {
+    CIAO_RETURN_IF_ERROR(cursor->ReadBytes(&entry));
   }
   uint8_t code_width = 0;
   CIAO_RETURN_IF_ERROR(cursor->ReadU8(&code_width));
   if (code_width != 1 && code_width != 2) {
     return Status::Corruption("dictionary column: bad code width");
   }
-  ColumnVector col(ColumnType::kString);
-  std::vector<uint32_t> codes(rows, 0);
-  for (size_t i = 0; i < rows; ++i) {
-    uint32_t code = 0;
-    uint8_t b0 = 0;
-    CIAO_RETURN_IF_ERROR(cursor->ReadU8(&b0));
-    code = b0;
-    if (code_width == 2) {
-      uint8_t b1 = 0;
-      CIAO_RETURN_IF_ERROR(cursor->ReadU8(&b1));
-      code |= static_cast<uint32_t>(b1) << 8;
+  std::string_view raw;
+  CIAO_RETURN_IF_ERROR(ReadSpan(cursor, rows, code_width, &raw));
+  const auto* bytes = reinterpret_cast<const uint8_t*>(raw.data());
+  codes->resize(rows);
+  uint32_t* code = codes->data();
+  if (code_width == 1) {
+    for (size_t i = 0; i < rows; ++i) code[i] = bytes[i];
+  } else {
+    for (size_t i = 0; i < rows; ++i) {
+      code[i] = bytes[2 * i] | (static_cast<uint32_t>(bytes[2 * i + 1]) << 8);
     }
-    if (!validity.Get(i)) {
-      col.AppendNull();  // code stays 0; validity masks it
-      continue;
-    }
-    if (code >= dict_size) {
+  }
+  // NULL rows carry code 0 whatever the file holds; every valid code
+  // must index the dictionary.
+  ForEachNull(validity, [code](size_t i) { code[i] = 0; });
+  if (dict_size == 0) {
+    if (validity.CountOnes() > 0) {
       return Status::Corruption("dictionary column: code out of range");
     }
-    codes[i] = code;
-    col.AppendString(entries[code]);
+  } else {
+    uint32_t max_code = 0;
+    for (size_t i = 0; i < rows; ++i) max_code = std::max(max_code, code[i]);
+    if (max_code >= dict_size) {
+      return Status::Corruption("dictionary column: code out of range");
+    }
   }
-  // Keep the dictionary view alongside the materialized strings so
-  // equality kernels can compare codes instead of bytes
-  // (engine/vectorized_eval); empty dictionaries carry no view.
-  if (dict_size > 0) {
-    std::vector<std::string> values(entries.begin(), entries.end());
-    col.SetDictionary(std::move(codes), std::move(values));
+  std::vector<uint32_t>& offsets = st->offsets;
+  offsets.assign(rows + 1, 0);
+  if (dict_size == 0) return Status::OK();  // every row is NULL
+
+  // Arena offsets are a prefix sum of entry lengths over valid rows.
+  // Entries are short and rows many, so each row is copied in 8-byte
+  // words instead of one variable-length memcpy: the entries are laid out
+  // in `padded` with 8 bytes of slack so a word read never leaves it.
+  std::vector<uint32_t> lengths(dict_size);
+  std::vector<size_t> starts(dict_size);
+  std::string padded;
+  for (uint32_t c = 0; c < dict_size; ++c) {
+    lengths[c] = static_cast<uint32_t>(entries[c].size());
+    starts[c] = padded.size();
+    padded.append(entries[c]);
   }
-  return col;
+  padded.append(8, '\0');
+  uint64_t total = 0;
+  for (size_t wi = 0; wi < validity.num_words(); ++wi) {
+    const uint64_t valid = validity.word(wi);
+    const size_t end = std::min(rows, (wi + 1) * 64);
+    for (size_t i = wi * 64; i < end; ++i) {
+      const uint64_t keep = 0 - ((valid >> (i & 63)) & 1);
+      total += lengths[code[i]] & keep;
+      offsets[i + 1] = static_cast<uint32_t>(total);
+    }
+  }
+  if (total > UINT32_MAX) {
+    return Status::Corruption("dictionary column: arena exceeds 4 GiB");
+  }
+  // Rows are written in order, so a word spilling past one row's span is
+  // overwritten by the next row; the last spill lands in 8 bytes of slack.
+  st->buffer.resize(total + 8);
+  char* arena = st->buffer.data();
+  for (size_t i = 0; i < rows; ++i) {
+    const char* src = padded.data() + starts[code[i]];
+    char* dst = arena + offsets[i];
+    const uint32_t len = offsets[i + 1] - offsets[i];
+    for (uint32_t k = 0; k < len; k += 8) std::memcpy(dst + k, src + k, 8);
+  }
+  st->buffer.resize(total);
+  values->assign(entries.begin(), entries.end());
+  return Status::OK();
 }
 
 }  // namespace
@@ -184,70 +285,46 @@ Result<ColumnVector> DecodeColumn(std::string_view buffer, size_t* offset) {
   const auto encoding = static_cast<Encoding>(encoding_byte);
   const size_t rows = static_cast<size_t>(rows64);
 
+  Storage st;
   size_t cpos = cursor.position();
-  CIAO_ASSIGN_OR_RETURN(BitVector validity,
-                        BitVector::Deserialize(buffer, &cpos));
+  CIAO_ASSIGN_OR_RETURN(st.validity, BitVector::Deserialize(buffer, &cpos));
   cursor = wire::Cursor(buffer, cpos);
-  if (validity.size() != rows) {
+  if (st.validity.size() != rows) {
     return Status::Corruption("column: validity size mismatch");
   }
 
-  ColumnVector col(type);
+  std::vector<uint32_t> dict_codes;
+  std::vector<std::string> dict_values;
   switch (type) {
-    case ColumnType::kInt64: {
-      std::string_view raw;
-      CIAO_RETURN_IF_ERROR(cursor.ReadRaw(rows * 8, &raw));
-      for (size_t i = 0; i < rows; ++i) {
-        if (validity.Get(i)) {
-          int64_t v = 0;
-          std::memcpy(&v, raw.data() + i * 8, 8);
-          col.AppendInt64(v);
-        } else {
-          col.AppendNull();
-        }
-      }
+    case ColumnType::kInt64:
+      CIAO_RETURN_IF_ERROR(DecodeFixed(&cursor, st.validity, &st.ints));
       break;
-    }
-    case ColumnType::kDouble: {
-      std::string_view raw;
-      CIAO_RETURN_IF_ERROR(cursor.ReadRaw(rows * 8, &raw));
-      for (size_t i = 0; i < rows; ++i) {
-        if (validity.Get(i)) {
-          double v = 0.0;
-          std::memcpy(&v, raw.data() + i * 8, 8);
-          col.AppendDouble(v);
-        } else {
-          col.AppendNull();
-        }
-      }
+    case ColumnType::kDouble:
+      CIAO_RETURN_IF_ERROR(DecodeFixed(&cursor, st.validity, &st.doubles));
       break;
-    }
     case ColumnType::kBool: {
       size_t bpos = cursor.position();
-      CIAO_ASSIGN_OR_RETURN(BitVector bools,
-                            BitVector::Deserialize(buffer, &bpos));
+      CIAO_ASSIGN_OR_RETURN(st.bools, BitVector::Deserialize(buffer, &bpos));
       cursor = wire::Cursor(buffer, bpos);
-      if (bools.size() != rows) {
+      if (st.bools.size() != rows) {
         return Status::Corruption("bool column: payload size mismatch");
       }
-      for (size_t i = 0; i < rows; ++i) {
-        if (validity.Get(i)) {
-          col.AppendBool(bools.Get(i));
-        } else {
-          col.AppendNull();
-        }
-      }
+      CIAO_RETURN_IF_ERROR(st.bools.AndWith(st.validity));
       break;
     }
-    case ColumnType::kString: {
-      Result<ColumnVector> decoded =
+    case ColumnType::kString:
+      CIAO_RETURN_IF_ERROR(
           encoding == Encoding::kDictionary
-              ? DecodeStringDictionary(&cursor, rows, validity)
-              : DecodeStringPlain(&cursor, rows, validity);
-      CIAO_RETURN_IF_ERROR(decoded.status());
-      col = std::move(decoded).value();
+              ? DecodeStringDictionary(&cursor, &st, &dict_codes, &dict_values)
+              : DecodeStringPlain(&cursor, &st));
       break;
-    }
+  }
+  ColumnVector col(type, std::move(st));
+  // Keep the dictionary view alongside the materialized strings so
+  // equality kernels can compare codes instead of bytes
+  // (engine/vectorized_eval); empty dictionaries carry no view.
+  if (!dict_values.empty()) {
+    col.SetDictionary(std::move(dict_codes), std::move(dict_values));
   }
   *offset = cursor.position();
   return col;

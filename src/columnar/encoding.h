@@ -23,8 +23,24 @@ enum class Encoding : uint8_t {
 /// self-describing.
 void EncodeColumn(const ColumnVector& column, std::string* out);
 
-/// Decodes one column starting at `*offset`; advances past it. All reads
-/// are bounds-checked; corruption yields Status, never UB.
+/// Decodes one column starting at `*offset`; advances past it. The
+/// contract, which tests/column_decode_test.cc checks against a
+/// row-at-a-time oracle:
+///  - Checked up front. Every length, offset and code is validated before
+///    the payload is copied: each span (values, offsets, codes) is
+///    bounds-checked once as a whole, string offsets must rise from 0 to
+///    the arena size, and every valid row's dictionary code must index the
+///    dictionary. Any failure is Corruption, never UB or a huge
+///    allocation.
+///  - Zeroed NULL slots. Whatever bytes the file holds under a NULL row,
+///    the column holds 0, 0.0, false or an empty string there (a NULL
+///    plain-string slot whose span is non-empty decodes as empty), and a
+///    dictionary code of 0.
+///  - Dictionary view. A dictionary-encoded column with a non-empty
+///    dictionary comes back with the view installed (has_dictionary(),
+///    dict_codes(), dict_values()) beside the materialized strings.
+/// The column is built span at a time and adopted through
+/// ColumnVector's Storage constructor, not appended row by row.
 Result<ColumnVector> DecodeColumn(std::string_view buffer, size_t* offset);
 
 /// Heuristic used by EncodeColumn, exposed for tests: dictionary pays off

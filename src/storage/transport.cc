@@ -79,13 +79,16 @@ Result<ChunkMessage> ChunkMessage::Deserialize(std::string_view buffer) {
   }
   uint32_t n_ids = 0;
   CIAO_RETURN_IF_ERROR(ReadU32(buffer, &offset, &n_ids));
+  if (n_ids > (buffer.size() - offset) / 4) {
+    return Status::Corruption("chunk message truncated (predicate ids)");
+  }
   msg.predicate_ids.resize(n_ids);
   for (uint32_t& id : msg.predicate_ids) {
     CIAO_RETURN_IF_ERROR(ReadU32(buffer, &offset, &id));
   }
   uint64_t ndjson_len = 0;
   CIAO_RETURN_IF_ERROR(ReadU64(buffer, &offset, &ndjson_len));
-  if (offset + ndjson_len > buffer.size()) {
+  if (ndjson_len > buffer.size() - offset) {
     return Status::Corruption("chunk message: truncated NDJSON payload");
   }
   CIAO_ASSIGN_OR_RETURN(

@@ -134,6 +134,29 @@ TEST(BitVectorTest, DeserializeTruncatedFails) {
   EXPECT_TRUE(BitVector::Deserialize("abc", &offset).status().IsCorruption());
 }
 
+std::string U64Bytes(uint64_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), 8);
+}
+
+std::string U32Bytes(uint32_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), 4);
+}
+
+TEST(BitVectorTest, DeserializeRejectsSizesWhosePayloadWraps) {
+  // (n + 63) / 64 wraps to 0 words at n = 2^64 - 1, and words * 8 wraps
+  // to 0 at n = 2^63: both once passed the bounds check with no payload.
+  for (const uint64_t n : {~0ULL, ~0ULL - 62, 1ULL << 63, 1ULL << 58}) {
+    const std::string buf = U64Bytes(n) + U64Bytes(~0ULL);
+    size_t offset = 0;
+    EXPECT_TRUE(BitVector::Deserialize(buf, &offset).status().IsCorruption())
+        << "n=" << n;
+  }
+  // An offset already past the end fails instead of reading before it.
+  const std::string buf = U64Bytes(0);
+  size_t offset = buf.size() + 1;
+  EXPECT_TRUE(BitVector::Deserialize(buf, &offset).status().IsCorruption());
+}
+
 TEST(BitVectorTest, DeserializeRejectsPaddingGarbage) {
   BitVector v(4);  // one word, 4 declared bits
   std::string buf;
@@ -254,6 +277,45 @@ TEST(BitVectorSetTest, DeserializeTruncatedFails) {
   EXPECT_TRUE(BitVectorSet::Deserialize(buf.substr(0, 10), &offset)
                   .status()
                   .IsCorruption());
+}
+
+TEST(BitVectorSetTest, DeserializeRejectsCountBeyondPayload) {
+  // ff ff ff ff used to reserve ~128 GB before reading a single vector.
+  size_t offset = 0;
+  EXPECT_TRUE(BitVectorSet::Deserialize(U32Bytes(~0u), &offset)
+                  .status()
+                  .IsCorruption());
+  // Two vectors declared, room for one header only.
+  offset = 0;
+  EXPECT_TRUE(BitVectorSet::Deserialize(U32Bytes(2) + U64Bytes(0), &offset)
+                  .status()
+                  .IsCorruption());
+  // The bound is exact: two empty vectors fit in two headers.
+  offset = 0;
+  auto ok = BitVectorSet::Deserialize(U32Bytes(2) + U64Bytes(0) + U64Bytes(0),
+                                      &offset);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->num_predicates(), 2u);
+}
+
+TEST(BitVectorSetViewTest, ParseRejectsWrappingSizeAndStride) {
+  // Per-vector size whose word count wraps, and a count whose stride
+  // product wraps: both must fail at Parse.
+  for (const uint64_t n : {~0ULL, 1ULL << 63, 1ULL << 60}) {
+    const std::string buf = U32Bytes(1) + U64Bytes(n) + U64Bytes(0);
+    size_t offset = 0;
+    EXPECT_TRUE(BitVectorSetView::Parse(buf, &offset).status().IsCorruption())
+        << "n=" << n;
+  }
+  const std::string one = U64Bytes(64) + U64Bytes(~0ULL);
+  size_t offset = 0;
+  EXPECT_TRUE(BitVectorSetView::Parse(U32Bytes(~0u) + one, &offset)
+                  .status()
+                  .IsCorruption());
+  offset = 0;
+  auto view = BitVectorSetView::Parse(U32Bytes(2) + one + one, &offset);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_EQ(view->num_records(), 64u);
 }
 
 // The lazy view must agree bit-for-bit with eager deserialization for

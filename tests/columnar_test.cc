@@ -195,6 +195,21 @@ TEST(EncodingTest, DecodeRejectsCorruptHeaders) {
   }
 }
 
+TEST(EncodingTest, DecodeRejectsBoolColumnWithWrappingValiditySize) {
+  // [type bool][plain][rows 2^64-1][validity size 2^64-1, no words]: the
+  // validity check once wrapped to zero payload words and the bool decode
+  // then dereferenced an empty bitmap.
+  std::string bad;
+  bad.push_back(static_cast<char>(ColumnType::kBool));
+  bad.push_back(static_cast<char>(Encoding::kPlain));
+  const uint64_t huge = ~0ULL;
+  for (int i = 0; i < 3; ++i) {
+    bad.append(reinterpret_cast<const char*>(&huge), 8);
+  }
+  size_t offset = 0;
+  EXPECT_TRUE(DecodeColumn(bad, &offset).status().IsCorruption());
+}
+
 // ---------- RecordBatch ----------
 
 RecordBatch MakeBatch(size_t rows, Rng* rng) {

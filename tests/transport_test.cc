@@ -111,6 +111,26 @@ TEST(ChunkMessageMalformedTest, OversizedNdjsonLengthRejected) {
   EXPECT_TRUE(ChunkMessage::Deserialize(payload).status().IsCorruption());
 }
 
+TEST(ChunkMessageMalformedTest, HugeCountsRejectedWithoutAllocating) {
+  ChunkMessage msg;
+  msg.chunk = MakeChunk({R"({"a":1})"});
+  std::string payload;
+  msg.SerializeTo(&payload);
+  // The message ends with the annotation set's u32 vector count (0 here).
+  // ff ff ff ff once asked BitVectorSet for a ~128 GB reservation.
+  std::string huge_set = payload;
+  huge_set.replace(huge_set.size() - 4, 4, "\xff\xff\xff\xff");
+  EXPECT_TRUE(ChunkMessage::Deserialize(huge_set).status().IsCorruption());
+  // Same for the predicate-id count (offset: magic 4 + mask 4).
+  std::string huge_ids = payload;
+  huge_ids.replace(8, 4, "\xff\xff\xff\xff");
+  EXPECT_TRUE(ChunkMessage::Deserialize(huge_ids).status().IsCorruption());
+  // An NDJSON length near 2^64 must not wrap the bounds check.
+  std::string huge_len = payload;
+  huge_len.replace(12, 8, "\xf8\xff\xff\xff\xff\xff\xff\xff");
+  EXPECT_TRUE(ChunkMessage::Deserialize(huge_len).status().IsCorruption());
+}
+
 TEST(ChunkMessageMalformedTest, OutOfRangePredicateIdViaExpand) {
   ChunkMessage msg;
   msg.chunk = MakeChunk({R"({"a":1})", R"({"a":2})"});
