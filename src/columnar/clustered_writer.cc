@@ -58,11 +58,13 @@ Status ClusteredSegmentWriter::Append(const RecordBatch& src, size_t row,
   for (size_t p = 0; p < num_predicates_; ++p) {
     pending_bits_[p].push_back(src_bits.vector(p).Get(row));
   }
-  ++rows_appended_;
-  if (pending_.num_rows() >= rows_per_group_) {
-    CIAO_RETURN_IF_ERROR(FlushGroup());
-    if (writer_.num_row_groups() >= groups_per_file_) SealFile();
-  }
+  if (pending_.num_rows() >= rows_per_group_) return EndGroup();
+  return Status::OK();
+}
+
+Status ClusteredSegmentWriter::EndGroup() {
+  CIAO_RETURN_IF_ERROR(FlushGroup());
+  if (writer_.num_row_groups() >= groups_per_file_) SealFile();
   return Status::OK();
 }
 
@@ -78,7 +80,6 @@ Status ClusteredSegmentWriter::FlushGroup() {
     pending_bits_[p].clear();
   }
   CIAO_RETURN_IF_ERROR(writer_.AppendRowGroup(pending_, annotations));
-  ++groups_sealed_;
   file_rows_ += rows;
   pending_ = RecordBatch(schema_);
   return Status::OK();

@@ -19,9 +19,9 @@ struct SealedFile {
   uint64_t num_groups = 0;
 };
 
-/// The write path of segment re-layout. The caller appends rows one at a
-/// time in its chosen clustering order, each with the annotation bits it
-/// carried in its source group; the writer packs them into fixed-size row
+/// The write path of every segment rewrite (storage/rewrite.h). The
+/// caller appends rows one at a time in its chosen order, each with its
+/// annotation bits; the writer packs them into fixed-size row
 /// groups and seals a bounded number of groups per output file, so the
 /// parallel segment scan keeps its per-segment fan-out after a rewrite
 /// coalesces many small ingest-chunk segments.
@@ -48,8 +48,9 @@ class ClusteredSegmentWriter {
   Status Append(const RecordBatch& src, size_t row,
                 const BitVectorSet& src_bits);
 
-  uint64_t rows_appended() const { return rows_appended_; }
-  uint64_t groups_sealed() const { return groups_sealed_; }
+  /// Seals the pending row group now, short of `rows_per_group` (no-op
+  /// when empty): rows appended before and after never share a group.
+  Status EndGroup();
 
   /// Flushes the partial group and file and returns every sealed file.
   /// The writer is consumed.
@@ -71,8 +72,6 @@ class ClusteredSegmentWriter {
 
   TableWriter writer_;
   uint64_t file_rows_ = 0;
-  uint64_t rows_appended_ = 0;
-  uint64_t groups_sealed_ = 0;
   std::vector<SealedFile> sealed_;
 };
 

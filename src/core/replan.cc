@@ -267,7 +267,7 @@ Result<bool> ReplanController::RelayoutNow() {
             DefaultChunkOverheadBytes(ActiveHardwareProfile().get());
       }
       const size_t rows_per_group = opt.rows_per_group == 0
-                                        ? kDefaultRelayoutRowsPerGroup
+                                        ? kRewriteRowsPerGroup
                                         : opt.rows_per_group;
       const ColumnGroupingPlan mined = MineColumnGrouping(
           ColumnAccessProfile::FromWorkload(derived, catalog_->schema()),

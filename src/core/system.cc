@@ -182,13 +182,9 @@ Status CiaoSystem::CompactAndCheckpoint() {
     // promotion: annotations are recomputed for the live epoch, so
     // skipping scans keep their benefit on the promoted rows.
     const std::shared_ptr<const PlanEpoch> epoch = epochs_.current();
-    JitStats jit;
+    PromotionStats compaction;
     CIAO_RETURN_IF_ERROR(PromoteRawToColumnar(
-        catalog_.get(), epoch->registry(), epoch->id, &jit));
-    std::lock_guard<std::mutex> lock(query_stats_mu_);
-    jit_stats_.records_parsed += jit.records_parsed;
-    jit_stats_.parse_errors += jit.parse_errors;
-    jit_stats_.seconds += jit.seconds;
+        catalog_.get(), epoch->registry(), epoch->id, &compaction));
   }
   return CheckpointStorageLocked();
 }
@@ -342,15 +338,12 @@ Result<QueryResult> CiaoSystem::ExecuteQuery(const Query& query) {
     const PlanDecision decision = PlanQuery(query, epoch->registry());
     if (decision.kind == PlanKind::kFullScan &&
         !catalog_->SnapshotRaw()->empty()) {
-      JitStats jit;
-      QueryPromotionStats promotion;
+      PromotionStats promotion;
       CIAO_RETURN_IF_ERROR(PromoteForQuery(catalog_.get(), query,
-                                           epoch->registry(), epoch->id, &jit,
+                                           epoch->registry(), epoch->id,
                                            &promotion));
       std::lock_guard<std::mutex> lock(query_stats_mu_);
-      jit_stats_.records_parsed += jit.records_parsed;
-      jit_stats_.parse_errors += jit.parse_errors;
-      jit_stats_.seconds += jit.seconds;
+      promotion_stats_.seconds += promotion.seconds;
       promotion_stats_.promoted += promotion.promoted;
       promotion_stats_.screened_out += promotion.screened_out;
       promotion_stats_.parse_failures += promotion.parse_failures;

@@ -131,7 +131,7 @@ class CiaoSystem {
   ReplanController* replan_controller() { return replan_.get(); }
   /// Query-driven JIT promotion counters (all zero when adaptive mode or
   /// jit_promotion is off).
-  QueryPromotionStats promotion_stats() const {
+  PromotionStats promotion_stats() const {
     std::lock_guard<std::mutex> lock(query_stats_mu_);
     return promotion_stats_;
   }
@@ -235,8 +235,7 @@ class CiaoSystem {
   size_t queries_run_ = 0;
   size_t queries_skipping_ = 0;
   uint64_t total_result_rows_ = 0;
-  JitStats jit_stats_;
-  QueryPromotionStats promotion_stats_;
+  PromotionStats promotion_stats_;
 
   /// Declared last so it is destroyed (and its thread joined) before any
   /// member its pass touches; ~CiaoSystem additionally stops it first.

@@ -12,9 +12,6 @@
 #include "engine/typed_eval.h"
 #include "engine/vectorized_eval.h"
 #include "engine/zone_map_filter.h"
-#include "json/parser.h"
-#include "predicate/pattern_compiler.h"
-#include "predicate/semantic_eval.h"
 #include "storage/jit_loader.h"
 #include "storage/segment_file.h"
 
@@ -260,54 +257,23 @@ Result<QueryResult> QueryExecutor::ExecuteFullScan(const Query& query) const {
   // The raw sideline must be scanned too: records there were never
   // loaded, and without a pushed-down clause nothing proves they cannot
   // satisfy the query. With raw_prefilter the query's own clause patterns
-  // rule records out *before* parsing (no false negatives, §IV-B); a
-  // clause that cannot run on raw bytes simply does not screen.
+  // rule records out *before* parsing (no false negatives, §IV-B). The
+  // survivors take the loader's conversion and the typed evaluation every
+  // loaded row gets, so a record counts and hashes the same either way.
   const std::shared_ptr<const RawStore>& raw = snapshot.raw;
   if (!raw->empty()) {
-    std::vector<RawClauseProgram> screen;
-    if (options_.raw_prefilter) {
-      for (const Clause& clause : query.clauses) {
-        if (!clause.SupportedOnClient()) continue;
-        Result<RawClauseProgram> program = RawClauseProgram::Compile(clause);
-        if (program.ok()) screen.push_back(std::move(program).value());
-      }
-    }
-    JitStats jit;
-    uint64_t screened_out = 0;
-    uint64_t matched = 0;
-    for (size_t i = 0; i < raw->size(); ++i) {
-      const std::string_view record = raw->Record(i);
-      bool maybe = true;
-      for (const RawClauseProgram& program : screen) {
-        if (!program.Matches(record)) {  // conjunction: one miss kills it
-          maybe = false;
-          break;
-        }
-      }
-      if (!maybe) {
-        ++screened_out;
-        continue;
-      }
-      Result<json::Value> parsed = json::Parse(record);
-      if (!parsed.ok()) {
-        ++jit.parse_errors;
-        continue;
-      }
-      ++jit.records_parsed;
-      if (EvaluateQuery(query, *parsed)) {
-        ++matched;
-        // Sideline records hash through the converter's coercion rules,
-        // so a record contributes the same checksum whether it was loaded
-        // into columns or scanned raw.
-        if (!eval.projection.empty()) {
-          eval.projection.AccumulateParsed(*parsed, &result.projected_hashes);
-        }
-      }
-    }
+    const Query no_screen;
+    const ConvertedSideline converted =
+        ConvertSideline(*raw, options_.raw_prefilter ? query : no_screen,
+                        catalog_->schema());
+    const uint64_t rows = converted.batch.num_rows();
+    CIAO_ASSIGN_OR_RETURN(
+        const uint64_t matched,
+        eval.CountAndProject(converted.batch, rows, nullptr, &result));
     result.count += matched;
-    result.stats.raw_records_screened_out = screened_out;
-    result.stats.raw_records_scanned = jit.records_parsed;
-    result.stats.raw_parse_errors = jit.parse_errors;
+    result.stats.raw_records_screened_out = converted.screened_out;
+    result.stats.raw_records_scanned = rows;
+    result.stats.raw_parse_errors = converted.parse_failures;
   }
 
   result.seconds = watch.ElapsedSeconds();

@@ -26,21 +26,22 @@ struct BackfillStats {
 
 /// Brings the whole catalog into the predicate-id space of a new plan
 /// epoch *without discarding loaded data* (the incremental alternative to
-/// a cold reload):
+/// a cold reload). A thin caller of the two shared primitives:
 ///
-///  1. Every columnar segment is rewritten group-by-group with fresh
-///     annotation bitvectors for `registry`'s predicates, computed by
-///     exact typed evaluation of each clause on the decoded rows. Exact
-///     bits are a subset of the client filter's (which may hold false
-///     positives) — sound for skipping, and tighter. Segments already
-///     tagged `annotation_epoch` are left untouched (idempotence).
-///  2. Sideline records matching >= 1 new predicate (evaluated with the
-///     ClientFilter's record-major block kernel on the raw bytes) are
-///     promoted into a columnar segment with compacted annotations; the
-///     rest — plus records that fail to parse — stay in a rebuilt
-///     sideline. This restores the planner invariant "every record
-///     satisfying a pushed-down clause is loaded" for the new epoch, so
-///     its skipping scans may keep ignoring the sideline.
+///  1. Every segment not yet tagged `annotation_epoch` goes through one
+///     RewriteSegments call (storage/rewrite.h): verified read, exact bits
+///     for `registry`'s clauses, rows matching >= 1 new predicate first,
+///     and no output row group mixing those with rows matching none — the
+///     all-zero groups are what the new epoch's skipping scans drop
+///     without a decode. Segments already tagged are left untouched
+///     (idempotence). A damaged segment stops the pass with Corruption;
+///     segments rewritten before it stay published (they are correct).
+///  2. PromoteSideline (storage/jit_loader.h) moves the sideline records
+///     that may satisfy >= 1 new predicate into a columnar segment with
+///     client-filter bits; the rest, and records that fail to parse, stay
+///     raw. This restores the planner invariant "every record satisfying
+///     a pushed-down clause is loaded" for the new epoch, so its skipping
+///     scans may keep ignoring the sideline.
 ///
 /// Concurrency: safe against concurrent *queries* (they scan refcounted
 /// snapshots; replaced segments stay alive until their scans finish, and

@@ -1,198 +1,102 @@
 #include "storage/jit_loader.h"
 
+#include <utility>
+
 #include "bitvec/bitvector_set.h"
 #include "client/client_filter.h"
 #include "columnar/file_writer.h"
 #include "columnar/json_converter.h"
 #include "common/timer.h"
 #include "json/chunk.h"
-#include "json/parser.h"
 #include "predicate/pattern_compiler.h"
 
 namespace ciao {
 
-Status ForEachRawRecord(const RawStore& store,
-                        const std::function<void(const json::Value&)>& fn,
-                        JitStats* stats) {
-  ScopedTimer timer(&stats->seconds);
-  for (size_t i = 0; i < store.size(); ++i) {
-    Result<json::Value> parsed = json::Parse(store.Record(i));
-    if (!parsed.ok()) {
-      ++stats->parse_errors;
-      continue;
-    }
-    ++stats->records_parsed;
-    fn(*parsed);
-  }
-  return Status::OK();
-}
-
-Status PromoteRawToColumnar(TableCatalog* catalog, size_t num_predicates,
-                            JitStats* stats) {
-  if (catalog->raw().empty()) return Status::OK();
-  ScopedTimer timer(&stats->seconds);
-
-  columnar::BatchBuilder builder(catalog->schema());
-  const RawStore& store = catalog->raw();
-  for (size_t i = 0; i < store.size(); ++i) {
-    if (builder.AppendSerialized(store.Record(i)).ok()) {
-      ++stats->records_parsed;
-    } else {
-      ++stats->parse_errors;
-    }
-  }
-  const size_t rows = builder.num_rows();
-  if (rows > 0) {
-    const columnar::RecordBatch batch = builder.Finish();
-    // All-zero annotations: exact for sidelined records under the plan
-    // that sidelined them (soundness argument in the header).
-    const BitVectorSet annotations(num_predicates, rows);
-    columnar::TableWriter writer(catalog->schema());
-    CIAO_RETURN_IF_ERROR(writer.AppendRowGroup(batch, annotations));
-    catalog->AddSegment(std::move(writer).Finish(), rows);
-  }
-  catalog->mutable_raw()->Clear();
-  return Status::OK();
-}
-
-Status PromoteRawToColumnar(TableCatalog* catalog,
-                            const PredicateRegistry& registry,
-                            uint64_t annotation_epoch, JitStats* stats) {
-  std::lock_guard<std::mutex> restructure(catalog->restructure_mu());
-  const std::shared_ptr<const RawStore> store = catalog->SnapshotRaw();
-  if (store->empty()) return Status::OK();
-  ScopedTimer timer(&stats->seconds);
-
-  json::JsonChunk chunk;
-  chunk.Reserve(store->size(), store->byte_size() + store->size());
-  for (size_t i = 0; i < store->size(); ++i) {
-    chunk.AppendSerialized(store->Record(i));
-  }
-  // Record-major re-evaluation of the registry over the raw bytes: no
-  // false negatives, so the promoted rows' bits are trustworthy for
-  // skipping under `annotation_epoch`.
-  ClientFilter filter(&registry);
-  PrefilterStats prefilter_stats;
-  const BitVectorSet bits = filter.Evaluate(chunk, &prefilter_stats);
-
-  columnar::BatchBuilder builder(catalog->schema());
-  BitVector load_mask(chunk.size(), true);
-  RawStore kept;
-  for (size_t i = 0; i < chunk.size(); ++i) {
-    if (builder.AppendSerialized(chunk.Record(i)).ok()) {
-      ++stats->records_parsed;
-    } else {
-      ++stats->parse_errors;
-      load_mask.Set(i, false);
-      kept.Append(chunk.Record(i));
-    }
-  }
-  const size_t rows = builder.num_rows();
-  std::string file_bytes;
-  if (rows > 0) {
-    const columnar::RecordBatch batch = builder.Finish();
-    BitVectorSet annotations;
-    if (registry.size() > 0) {
-      CIAO_ASSIGN_OR_RETURN(annotations, bits.CompactBy(load_mask));
-    }
-    columnar::TableWriter writer(catalog->schema());
-    CIAO_RETURN_IF_ERROR(writer.AppendRowGroup(batch, annotations));
-    file_bytes = std::move(writer).Finish();
-  }
-  // Atomic publish: a combined scan snapshot sees the promoted rows in
-  // exactly one of {segment, sideline}, never neither.
-  catalog->PublishPromotion(std::move(file_bytes), rows, annotation_epoch,
-                            std::move(kept));
-  return Status::OK();
-}
-
-Status PromoteForQuery(TableCatalog* catalog, const Query& query,
-                       const PredicateRegistry& registry,
-                       uint64_t annotation_epoch, JitStats* stats,
-                       QueryPromotionStats* promotion) {
-  // Promotion is an optimization: when another thread is already
-  // restructuring the sideline, skip instead of queueing behind it —
-  // the query's full scan handles raw records either way.
-  std::unique_lock<std::mutex> restructure(catalog->restructure_mu(),
-                                           std::try_to_lock);
-  if (!restructure.owns_lock()) return Status::OK();
-  const std::shared_ptr<const RawStore> store = catalog->SnapshotRaw();
-  if (store->empty()) return Status::OK();
-  ScopedTimer timer(&stats->seconds);
-
-  // Compile the query's residual screen. Clauses that cannot run on raw
-  // bytes (e.g. ranges) simply do not screen; with no screenable clause
-  // every record is a candidate (degenerates to full promotion).
-  std::vector<RawClauseProgram> screen;
-  screen.reserve(query.clauses.size());
-  for (const Clause& clause : query.clauses) {
+ConvertedSideline ConvertSideline(const RawStore& raw, const Query& screen,
+                                  const columnar::Schema& schema) {
+  std::vector<RawClauseProgram> programs;
+  programs.reserve(screen.clauses.size());
+  for (const Clause& clause : screen.clauses) {
     if (!clause.SupportedOnClient()) continue;
     Result<RawClauseProgram> program = RawClauseProgram::Compile(clause);
-    if (program.ok()) screen.push_back(std::move(program).value());
+    if (program.ok()) programs.push_back(std::move(program).value());
   }
 
-  json::JsonChunk candidates;
-  RawStore kept;
-  for (size_t i = 0; i < store->size(); ++i) {
-    const std::string_view record = store->Record(i);
+  ConvertedSideline out;
+  columnar::BatchBuilder builder(schema);
+  for (size_t i = 0; i < raw.size(); ++i) {
+    const std::string_view record = raw.Record(i);
     bool maybe = true;
-    for (const RawClauseProgram& program : screen) {
+    for (const RawClauseProgram& program : programs) {
       if (!program.Matches(record)) {  // conjunction: one miss rules out
         maybe = false;
         break;
       }
     }
-    if (maybe) {
-      candidates.AppendSerialized(record);
+    if (!maybe) {
+      ++out.screened_out;
+    } else if (builder.AppendSerialized(record).ok()) {
+      out.source.push_back(static_cast<uint32_t>(i));
     } else {
-      kept.Append(record);
-      ++promotion->screened_out;
+      ++out.parse_failures;
     }
   }
-  if (candidates.empty()) {
-    catalog->ReplaceRaw(std::move(kept));
-    return Status::OK();
-  }
+  out.batch = builder.Finish();
+  return out;
+}
 
-  // Annotate the candidates in the current epoch's id space so skipping
-  // scans keep their benefit on the promoted rows.
-  BitVectorSet bits;
-  if (registry.size() > 0) {
-    ClientFilter filter(&registry);
+Status PromoteSideline(TableCatalog* catalog, const Query& screen,
+                       const PredicateRegistry& registry,
+                       uint64_t annotation_epoch, PromotionStats* stats) {
+  const std::shared_ptr<const RawStore> raw = catalog->SnapshotRaw();
+  if (raw->empty()) return Status::OK();
+  ScopedTimer timer(&stats->seconds);
+
+  const ConvertedSideline converted =
+      ConvertSideline(*raw, screen, catalog->schema());
+  stats->screened_out += converted.screened_out;
+  stats->parse_failures += converted.parse_failures;
+  const size_t rows = converted.source.size();
+  if (rows == 0) return Status::OK();  // the sideline stays as it is
+
+  json::JsonChunk promoted;
+  RawStore kept;
+  size_t next = 0;
+  for (size_t i = 0; i < raw->size(); ++i) {
+    if (next < rows && converted.source[next] == i) {
+      promoted.AppendSerialized(raw->Record(i));
+      ++next;
+    } else {
+      kept.Append(raw->Record(i));
+    }
+  }
+  BitVectorSet annotations;
+  if (!registry.empty()) {
     PrefilterStats prefilter_stats;
-    bits = filter.Evaluate(candidates, &prefilter_stats);
+    annotations = ClientFilter(&registry).Evaluate(promoted, &prefilter_stats);
   }
-
-  columnar::BatchBuilder builder(catalog->schema());
-  BitVector load_mask(candidates.size(), true);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (builder.AppendSerialized(candidates.Record(i)).ok()) {
-      ++stats->records_parsed;
-    } else {
-      ++stats->parse_errors;
-      ++promotion->parse_failures;
-      load_mask.Set(i, false);
-      kept.Append(candidates.Record(i));
-    }
-  }
-  const size_t rows = builder.num_rows();
-  std::string file_bytes;
-  if (rows > 0) {
-    const columnar::RecordBatch batch = builder.Finish();
-    BitVectorSet annotations;
-    if (registry.size() > 0) {
-      CIAO_ASSIGN_OR_RETURN(annotations, bits.CompactBy(load_mask));
-    }
-    columnar::TableWriter writer(catalog->schema());
-    CIAO_RETURN_IF_ERROR(writer.AppendRowGroup(batch, annotations));
-    file_bytes = std::move(writer).Finish();
-    promotion->promoted += rows;
-  }
-  // Atomic publish: a combined scan snapshot sees the promoted rows in
-  // exactly one of {segment, sideline}, never neither.
-  catalog->PublishPromotion(std::move(file_bytes), rows, annotation_epoch,
-                            std::move(kept));
+  columnar::TableWriter writer(catalog->schema());
+  CIAO_RETURN_IF_ERROR(writer.AppendRowGroup(converted.batch, annotations));
+  catalog->PublishPromotion(std::move(writer).Finish(), rows,
+                            annotation_epoch, std::move(kept));
+  stats->promoted += rows;
   return Status::OK();
+}
+
+Status PromoteRawToColumnar(TableCatalog* catalog,
+                            const PredicateRegistry& registry,
+                            uint64_t annotation_epoch, PromotionStats* stats) {
+  std::lock_guard<std::mutex> restructure(catalog->restructure_mu());
+  return PromoteSideline(catalog, Query{}, registry, annotation_epoch, stats);
+}
+
+Status PromoteForQuery(TableCatalog* catalog, const Query& query,
+                       const PredicateRegistry& registry,
+                       uint64_t annotation_epoch, PromotionStats* stats) {
+  std::unique_lock<std::mutex> restructure(catalog->restructure_mu(),
+                                           std::try_to_lock);
+  if (!restructure.owns_lock()) return Status::OK();
+  return PromoteSideline(catalog, query, registry, annotation_epoch, stats);
 }
 
 }  // namespace ciao

@@ -1,94 +1,87 @@
 #ifndef CIAO_STORAGE_JIT_LOADER_H_
 #define CIAO_STORAGE_JIT_LOADER_H_
 
-#include <functional>
+// The one path raw sideline records take into columns (paper §I: "set
+// aside the other raw data to be loaded when needed"). A raw screen —
+// the caller's query clauses compiled to string-matching programs, which
+// have no false negatives (§IV-B) — rules records out without parsing;
+// the survivors go through the loader's own BatchBuilder conversion.
+// Promotions publish the converted rows as a segment; the executor's
+// full scan evaluates them in place with the same typed kernels it runs
+// on loaded rows, so a record counts and hashes identically whether it
+// was loaded, promoted or scanned raw.
 
+#include <cstdint>
+#include <vector>
+
+#include "columnar/record_batch.h"
+#include "columnar/schema.h"
 #include "common/status.h"
-#include "json/value.h"
 #include "predicate/predicate.h"
 #include "predicate/registry.h"
 #include "storage/catalog.h"
 
 namespace ciao {
 
-/// Statistics for just-in-time work over the raw sideline.
-struct JitStats {
-  uint64_t records_parsed = 0;
-  uint64_t parse_errors = 0;
-  double seconds = 0.0;
-};
-
-/// Streams parsed JSON values from the raw store (the fallback scan path
-/// for queries with no pushed-down clause). Malformed records are counted
-/// and skipped.
-Status ForEachRawRecord(const RawStore& store,
-                        const std::function<void(const json::Value&)>& fn,
-                        JitStats* stats);
-
-/// Just-in-time loading (paper §I: "set aside the other raw data to be
-/// loaded when needed"): converts the whole raw sideline into a columnar
-/// segment and clears it. The promoted rows get all-zero annotation
-/// bitvectors.
-///
-/// Soundness of the all-zero annotations (single-plan pipeline): a record
-/// reaches the sideline only when the partial loader saw its OR over all
-/// pushed-down predicate bits as 0, and the client filter never produces
-/// false negatives (§IV-B, property-tested) — so a sidelined record
-/// provably satisfies NO pushed-down predicate. All-zero bits are
-/// therefore *exact* for those rows, not an approximation: a skipping
-/// scan that drops them can never drop a qualifying record
-/// (tests/no_false_negative_test.cc pins this end-to-end).
-///
-/// The argument breaks the moment the predicate set changes: under a new
-/// plan epoch a sidelined record may well satisfy a newly pushed
-/// predicate. The adaptive runtime therefore never uses this overload —
-/// it re-evaluates (the overload below / storage/backfill.h) instead.
-Status PromoteRawToColumnar(TableCatalog* catalog, size_t num_predicates,
-                            JitStats* stats);
-
-/// Re-evaluating promotion: like the above, but instead of pessimistic
-/// all-zero bits the promoted rows carry annotations computed by running
-/// `registry`'s predicates over the raw bytes (the client filter's
-/// record-major kernel), and the segment is tagged `annotation_epoch`.
-/// Use when the registry may differ from the one that sidelined the
-/// records — the bits stay free of false negatives, so skipping scans
-/// keep their benefit on the promoted rows.
-Status PromoteRawToColumnar(TableCatalog* catalog,
-                            const PredicateRegistry& registry,
-                            uint64_t annotation_epoch, JitStats* stats);
-
-/// Counters of one query-driven promotion pass.
-struct QueryPromotionStats {
-  /// Raw records the query's clause patterns could not rule out — parsed
-  /// and promoted.
-  uint64_t promoted = 0;
-  /// Raw records the screen proved non-matching — left raw, unparsed.
+/// The sideline records a raw screen could not rule out, converted.
+struct ConvertedSideline {
+  columnar::RecordBatch batch;
+  /// Batch row r is sideline record source[r] (ascending).
+  std::vector<uint32_t> source;
+  /// Records the screen proved non-matching — never parsed.
   uint64_t screened_out = 0;
-  /// Screen survivors that failed to parse — left raw.
+  /// Screen survivors that failed to parse.
   uint64_t parse_failures = 0;
 };
 
-/// Query-driven just-in-time promotion (the adaptive replacement for the
-/// all-or-nothing overloads): parses ONLY the raw records the query's
-/// residual predicate cannot rule out.
+/// Screens every record of `raw` with `screen`'s clauses (a conjunction;
+/// clauses that cannot run on raw bytes, e.g. ranges, do not screen, and
+/// a query without clauses screens nothing out) and converts the
+/// survivors with `schema`'s BatchBuilder.
+ConvertedSideline ConvertSideline(const RawStore& raw, const Query& screen,
+                                  const columnar::Schema& schema);
+
+/// Counters of sideline promotions.
+struct PromotionStats {
+  /// Records published as columnar rows.
+  uint64_t promoted = 0;
+  /// Records the screen ruled out — left raw, unparsed.
+  uint64_t screened_out = 0;
+  /// Screen survivors that failed to parse — left raw.
+  uint64_t parse_failures = 0;
+  double seconds = 0.0;
+};
+
+/// Moves the sideline records `screen` cannot rule out into one columnar
+/// segment (ConvertSideline, then one TableWriter row group). Their
+/// annotations re-evaluate `registry` on the raw bytes with the client
+/// filter — no false negatives — and the segment is tagged
+/// `annotation_epoch`, so skipping scans keep their benefit on the
+/// promoted rows. Screened-out and unparseable records stay raw. The
+/// segment append and the sideline swap publish atomically
+/// (TableCatalog::PublishPromotion): a combined scan snapshot sees each
+/// record in exactly one of {segment, sideline}.
 ///
-/// Each sideline record is screened with the query's compiled clause
-/// patterns (clauses that cannot run on raw bytes do not screen). The
-/// screen has no false negatives, so a record failing any clause of the
-/// conjunction provably does not satisfy the query and stays raw,
-/// unparsed. Survivors are parsed batch-wise via the tape parser and
-/// published as a columnar segment whose annotations re-evaluate
-/// `registry`'s predicates on the raw bytes — so subsequent skipping
-/// scans keep skipping (no pessimistic all-zero rows), and subsequent
-/// full scans find the rows in columnar form instead of re-parsing them.
-///
-/// Run this BEFORE executing the query's full scan: the scan then counts
-/// the promoted rows from the segment and the remaining sideline shrinks
-/// to records this query could never match.
+/// The caller must hold catalog->restructure_mu().
+Status PromoteSideline(TableCatalog* catalog, const Query& screen,
+                       const PredicateRegistry& registry,
+                       uint64_t annotation_epoch, PromotionStats* stats);
+
+/// Compaction: promotes the whole sideline (no screen). Takes
+/// restructure_mu.
+Status PromoteRawToColumnar(TableCatalog* catalog,
+                            const PredicateRegistry& registry,
+                            uint64_t annotation_epoch, PromotionStats* stats);
+
+/// Query-driven promotion: promotes only the records `query`'s residual
+/// screen cannot rule out. Run it BEFORE the query's full scan: the scan
+/// then finds the promoted rows in columnar form and the remaining
+/// sideline shrinks to records this query could never match. Promotion
+/// is an optimization, so when another thread is already restructuring
+/// the sideline this returns at once instead of queueing.
 Status PromoteForQuery(TableCatalog* catalog, const Query& query,
                        const PredicateRegistry& registry,
-                       uint64_t annotation_epoch, JitStats* stats,
-                       QueryPromotionStats* promotion);
+                       uint64_t annotation_epoch, PromotionStats* stats);
 
 }  // namespace ciao
 

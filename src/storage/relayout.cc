@@ -4,10 +4,8 @@
 #include <unordered_map>
 #include <utility>
 
-#include "columnar/clustered_writer.h"
-#include "columnar/file_reader.h"
 #include "common/timer.h"
-#include "engine/typed_eval.h"
+#include "storage/rewrite.h"
 
 namespace ciao {
 
@@ -18,43 +16,14 @@ namespace {
 /// segment scan to fan out over while amortizing per-file framing.
 constexpr size_t kGroupsPerFile = 8;
 
-/// One decoded input row group held for the permutation.
-struct SourceGroup {
-  columnar::RecordBatch batch;
-  BitVectorSet bits;
-  SourceGroup(columnar::RecordBatch b, BitVectorSet v)
-      : batch(std::move(b)), bits(std::move(v)) {}
-};
-
 /// One row's clustering key.
 struct RowSlot {
-  uint32_t group = 0;
-  uint32_t row = 0;
+  RowRef ref;
   /// Hot-predicate match bits, hottest predicate most significant.
   uint64_t signature = 0;
   bool has_key = false;
   double key = 0.0;
 };
-
-/// Every registered clause compiled for exact row evaluation (the same
-/// recompute backfill performs). Ingest segments carry client-prefilter
-/// bits — a superset with false positives — so the rewrite re-annotates
-/// from typed evaluation: the output bits are exact, false-positive rows
-/// sink into the all-zero cold tail, and fully-covered COUNT queries can
-/// be answered from the bits alone.
-Result<std::vector<CompiledTypedQuery>> CompileRegistryClauses(
-    const PredicateRegistry& registry, const columnar::Schema& schema) {
-  std::vector<CompiledTypedQuery> compiled;
-  compiled.reserve(registry.size());
-  for (const RegisteredPredicate& p : registry.predicates()) {
-    Query probe;
-    probe.clauses = {p.clause};
-    CIAO_ASSIGN_OR_RETURN(CompiledTypedQuery q,
-                          CompiledTypedQuery::Compile(probe, schema));
-    compiled.push_back(std::move(q));
-  }
-  return compiled;
-}
 
 /// The first numeric schema column a hot predicate constrains with a
 /// zone-map-prunable kind — the column worth sorting equal-signature rows
@@ -134,124 +103,70 @@ Status RelayoutSegments(TableCatalog* catalog,
   }
   if (inputs.empty()) return Status::OK();
 
-  const columnar::Schema& catalog_schema = catalog->schema();
-  CIAO_ASSIGN_OR_RETURN(const std::vector<CompiledTypedQuery> preds,
-                        CompileRegistryClauses(registry, catalog_schema));
-
-  // Decode every participating group once and re-annotate it with exact
-  // typed evaluation; rows are then permuted across group and segment
-  // boundaries.
-  std::vector<SourceGroup> groups;
-  std::vector<RowSlot> slots;
-  uint64_t total_rows = 0;
-  for (const SegmentRef& segment : inputs) {
-    // Disk-resident inputs are pinned through the mapping cache (CRC
-    // verified at map time); the rewritten outputs spill back to disk in
-    // ReplaceSegments' publish path.
-    CIAO_ASSIGN_OR_RETURN(const PinnedSegment pin, PinSegment(*segment));
-    CIAO_ASSIGN_OR_RETURN(
-        columnar::TableReader reader,
-        columnar::TableReader::OpenBorrowed(pin.bytes,
-                                            columnar::ChecksumMode::kTrust));
-    for (size_t g = 0; g < reader.num_row_groups(); ++g) {
-      CIAO_ASSIGN_OR_RETURN(columnar::RowGroupMeta meta, reader.ReadMeta(g));
-      if (meta.annotations.num_predicates() != registry.size()) {
-        return Status::Internal(
-            "relayout: segment annotation slots do not match the epoch "
-            "registry");
-      }
-      CIAO_ASSIGN_OR_RETURN(columnar::RecordBatch batch, reader.ReadBatch(g));
-      BitVectorSet exact(preds.size(), meta.num_rows);
-      for (size_t p = 0; p < preds.size(); ++p) {
-        BitVector* bits = exact.mutable_vector(p);
-        for (size_t r = 0; r < meta.num_rows; ++r) {
-          if (preds[p].Matches(batch, r)) bits->Set(r, true);
-        }
-      }
-      groups.emplace_back(std::move(batch), std::move(exact));
-      total_rows += meta.num_rows;
-    }
-    ++stats->segments_read;
-  }
-  if (total_rows == 0) return Status::OK();
-
   const columnar::Schema& schema = catalog->schema();
   const int key_column = PickKeyColumn(hot, registry, schema);
-  slots.reserve(total_rows);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const SourceGroup& group = groups[g];
-    const size_t rows = group.bits.num_records();
-    for (size_t r = 0; r < rows; ++r) {
-      RowSlot slot;
-      slot.group = static_cast<uint32_t>(g);
-      slot.row = static_cast<uint32_t>(r);
-      for (size_t i = 0; i < hot.size(); ++i) {
-        if (group.bits.vector(hot[i].id).Get(r)) {
-          slot.signature |= uint64_t{1} << (hot.size() - 1 - i);
-        }
-      }
-      if (key_column >= 0) {
-        const columnar::ColumnVector& col =
-            group.batch.column(static_cast<size_t>(key_column));
-        if (col.IsValid(r)) {
-          slot.has_key = true;
-          slot.key = col.GetNumeric(r);
-        }
-      }
-      slots.push_back(slot);
-    }
-  }
-
   // Descending signature clusters the hottest predicate's matches into
   // one contiguous prefix, the next-hottest into at most two runs, and so
-  // on; all-cold rows sink to the tail. The numeric key then orders each
-  // cluster so per-group min/max become tight. Stable, so the permutation
-  // is deterministic.
-  std::stable_sort(slots.begin(), slots.end(),
-                   [](const RowSlot& a, const RowSlot& b) {
-                     if (a.signature != b.signature) {
-                       return a.signature > b.signature;
-                     }
-                     if (a.has_key != b.has_key) return a.has_key;  // nulls last
-                     return a.key < b.key;
-                   });
+  // on; all-cold rows — false positives of the ingest bits included, as
+  // the rewrite's bits are exact — sink to the tail. The numeric key then
+  // orders each cluster so per-group min/max become tight. Stable, so the
+  // permutation is deterministic. One partition: clusters may share a
+  // group at their boundary.
+  const RowOrder order = [&](const std::vector<RewriteGroup>& groups) {
+    std::vector<RowSlot> slots;
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const RewriteGroup& group = groups[g];
+      for (size_t r = 0; r < group.batch.num_rows(); ++r) {
+        RowSlot slot;
+        slot.ref = {static_cast<uint32_t>(g), static_cast<uint32_t>(r)};
+        for (size_t i = 0; i < hot.size(); ++i) {
+          if (group.bits.vector(hot[i].id).Get(r)) {
+            slot.signature |= uint64_t{1} << (hot.size() - 1 - i);
+          }
+        }
+        if (key_column >= 0) {
+          const columnar::ColumnVector& col =
+              group.batch.column(static_cast<size_t>(key_column));
+          if (col.IsValid(r)) {
+            slot.has_key = true;
+            slot.key = col.GetNumeric(r);
+          }
+        }
+        slots.push_back(slot);
+      }
+    }
+    std::stable_sort(slots.begin(), slots.end(),
+                     [](const RowSlot& a, const RowSlot& b) {
+                       if (a.signature != b.signature) {
+                         return a.signature > b.signature;
+                       }
+                       if (a.has_key != b.has_key) return a.has_key;
+                       return a.key < b.key;
+                     });
+    RowPartitions partitions(1);
+    partitions[0].reserve(slots.size());
+    for (const RowSlot& slot : slots) partitions[0].push_back(slot.ref);
+    return partitions;
+  };
 
   const size_t rows_per_group = options.rows_per_group == 0
-                                    ? kDefaultRelayoutRowsPerGroup
+                                    ? kRewriteRowsPerGroup
                                     : options.rows_per_group;
-  columnar::ClusteredSegmentWriter writer(
-      schema, registry.size(), rows_per_group, kGroupsPerFile,
-      grouping ? *column_groups : columnar::ColumnGroupLayout{});
-  for (const RowSlot& slot : slots) {
-    const SourceGroup& group = groups[slot.group];
-    CIAO_RETURN_IF_ERROR(writer.Append(group.batch, slot.row, group.bits));
-  }
-  CIAO_ASSIGN_OR_RETURN(std::vector<columnar::SealedFile> files,
-                        std::move(writer).Finish());
-
-  uint64_t groups_written = 0;
-  std::vector<ColumnarSegment> replacements;
-  replacements.reserve(files.size());
-  for (columnar::SealedFile& file : files) {
-    groups_written += file.num_groups;
-    ColumnarSegment segment;
-    segment.file_bytes = std::move(file.file_bytes);
-    segment.num_rows = file.num_rows;
-    segment.annotation_epoch = annotation_epoch;
-    // Bits were recomputed above by exact typed evaluation.
-    segment.annotations_exact = true;
-    replacements.push_back(std::move(segment));
-  }
-  // All-or-nothing publish: false means a concurrent rewrite replaced an
-  // input segment after our snapshot — its bytes are authoritative, ours
-  // are stale, and dropping them costs only the work above.
-  if (!catalog->ReplaceSegments(inputs, std::move(replacements))) {
-    return Status::OK();
-  }
+  RewriteResult rewrite;
+  CIAO_RETURN_IF_ERROR(RewriteSegments(
+      catalog, inputs, registry, annotation_epoch, order,
+      columnar::ClusteredSegmentWriter(
+          schema, registry.size(), rows_per_group, kGroupsPerFile,
+          grouping ? *column_groups : columnar::ColumnGroupLayout{}),
+      &rewrite));
+  stats->segments_read += inputs.size();
+  // A lost publish race means a concurrent rewrite replaced an input
+  // after our snapshot: its bytes are authoritative, ours are stale.
+  if (!rewrite.published) return Status::OK();
   *relaid = true;
-  stats->segments_written = files.size();
-  stats->groups_written = groups_written;
-  stats->rows_moved = total_rows;
+  stats->segments_written = rewrite.files_written;
+  stats->groups_written = rewrite.groups_written;
+  stats->rows_moved = rewrite.rows;
   if (grouping) stats->column_groups = column_groups->groups.size();
   return Status::OK();
 }

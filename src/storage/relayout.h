@@ -10,12 +10,9 @@
 #include "predicate/predicate.h"
 #include "predicate/registry.h"
 #include "storage/catalog.h"
+#include "storage/rewrite.h"
 
 namespace ciao {
-
-/// Rows per rewritten row group when RelayoutOptions::rows_per_group is 0
-/// (matches the ingest pipeline's default chunk granularity).
-inline constexpr size_t kDefaultRelayoutRowsPerGroup = 4096;
 
 /// Counters of one segment re-layout pass.
 struct RelayoutStats {
@@ -59,13 +56,15 @@ std::vector<HotPredicate> RankHotPredicates(const Workload& workload,
 ///  2. Within equal signatures, rows sort by the first numeric column a
 ///     hot predicate constrains (nulls last), tightening per-group
 ///     min/max zone maps on exactly the column queries filter on.
-///  3. The rewritten rows — annotation bits recomputed by exact typed
-///     evaluation (upgrading the client prefilter's superset bits, so
-///     false-positive rows join the cold tail and the output segments
+///  3. The rows go through RewriteSegments (storage/rewrite.h): inputs
+///     read with CRC verification, annotation bits recomputed by exact
+///     typed evaluation (upgrading the client prefilter's superset bits,
+///     so false-positive rows join the cold tail and the output segments
 ///     are marked `annotations_exact`), zone maps and match densities
-///     recomputed per group — are packed into `options.rows_per_group`-row
-///     groups across a bounded number of output files and published
-///     atomically via TableCatalog::ReplaceSegments.
+///     recomputed per `options.rows_per_group`-row group, a bounded number
+///     of groups per output file, and one atomic TableCatalog::
+///     ReplaceSegments publish. A damaged input fails the pass with
+///     Corruption and leaves the catalog untouched.
 ///
 /// Only segments already carrying `annotation_epoch` bits participate
 /// (their id space matches the registry being evaluated); stale

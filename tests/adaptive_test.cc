@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "columnar/file_reader.h"
+#include "columnar/file_writer.h"
 #include "core/plan_epoch.h"
 #include "core/replan.h"
 #include "core/system.h"
@@ -26,6 +27,7 @@
 #include "json/parser.h"
 #include "predicate/semantic_eval.h"
 #include "storage/backfill.h"
+#include "storage/relayout.h"
 #include "workload/dataset.h"
 #include "workload/templates.h"
 
@@ -93,13 +95,13 @@ TEST(EpochManagerTest, InstallRequiresStrictlyIncreasingIds) {
 
 // ---------- Backfill ----------
 
-/// Asserts the catalog's annotations against exact typed evaluation:
-/// rebuilt segments must match exactly; promoted ones (client-filter
-/// bits) must at least have no false negatives.
+/// Asserts the catalog's annotations against row-wise typed evaluation:
+/// bit-exact on every segment marked `annotations_exact` (rewritten
+/// segments), no false negatives on the rest (client-filter bits may
+/// over-approximate).
 void CheckAnnotationsAgainstTypedEval(const TableCatalog& catalog,
                                       const PredicateRegistry& registry,
-                                      uint64_t expected_epoch,
-                                      bool require_exact) {
+                                      uint64_t expected_epoch) {
   for (const SegmentRef& segment : catalog.SnapshotSegments()) {
     EXPECT_EQ(segment->annotation_epoch, expected_epoch);
     auto reader = columnar::TableReader::OpenBorrowed(segment->file_bytes);
@@ -119,12 +121,12 @@ void CheckAnnotationsAgainstTypedEval(const TableCatalog& catalog,
           const bool truth = compiled->Matches(*batch, r);
           const bool bit = meta->annotations.vector(p).Get(r);
           if (truth) {
-            EXPECT_TRUE(bit) << "FALSE NEGATIVE in backfilled annotations: "
+            EXPECT_TRUE(bit) << "FALSE NEGATIVE in annotations: "
                              << probe.ToSql() << " row " << r;
           }
-          if (require_exact) {
+          if (segment->annotations_exact) {
             EXPECT_EQ(bit, truth)
-                << "rebuilt segment bits must be exact: " << probe.ToSql()
+                << "rewritten segment bits must be exact: " << probe.ToSql()
                 << " row " << r;
           }
         }
@@ -193,13 +195,28 @@ TEST(BackfillTest, RebuildsSegmentsAndPromotesMatchingSideline) {
     }
   }
 
-  // Rebuilt segments: exact bits. The promoted segment: no false
-  // negatives (client-filter bits may over-approximate). Distinguish by
-  // running the exact check only on the first `segments_before` rebuilt
-  // ones — simpler: require no-false-negatives everywhere, exactness on
-  // none (the skipping-count equivalence below pins correctness anyway).
-  CheckAnnotationsAgainstTypedEval(catalog, new_registry, /*epoch=*/1,
-                                   /*require_exact=*/false);
+  // Rebuilt segments carry exact bits; the promoted segment carries
+  // client-filter bits, which must at least have no false negatives.
+  CheckAnnotationsAgainstTypedEval(catalog, new_registry, /*epoch=*/1);
+  uint64_t exact_segments = 0;
+  for (const SegmentRef& segment : catalog.SnapshotSegments()) {
+    if (!segment->annotations_exact) continue;
+    ++exact_segments;
+    // No rebuilt group mixes rows matching a new predicate with rows
+    // matching none: the all-zero groups are what skipping scans drop
+    // without a decode.
+    auto reader = columnar::TableReader::OpenBorrowed(segment->file_bytes);
+    ASSERT_TRUE(reader.ok());
+    for (size_t g = 0; g < reader->num_row_groups(); ++g) {
+      auto meta = reader->ReadMeta(g);
+      ASSERT_TRUE(meta.ok());
+      const size_t matching = meta->annotations.UnionAll().CountOnes();
+      EXPECT_TRUE(matching == 0 || matching == meta->num_rows)
+          << "group " << g << " mixes " << matching << " matching rows of "
+          << meta->num_rows;
+    }
+  }
+  EXPECT_EQ(exact_segments, segments_before);
 
   // Counts under the new epoch equal brute force, via skipping scans.
   QueryExecutor executor(&catalog, &new_registry);
@@ -212,6 +229,63 @@ TEST(BackfillTest, RebuildsSegmentsAndPromotesMatchingSideline) {
     EXPECT_EQ(result->plan, PlanKind::kSkippingScan);
     EXPECT_EQ(result->count, BruteForceCount(ds.records, q)) << q.ToSql();
   }
+}
+
+TEST(RewriteTest, RewritesNeverLaunderCorruption) {
+  // A heap segment whose int64 payload lost a bit in memory. Re-layout
+  // and backfill both seal their output under fresh CRCs, so they must
+  // refuse to read bytes that fail their own: Corruption, catalog
+  // untouched.
+  const columnar::Schema schema({{"id", columnar::ColumnType::kInt64},
+                                 {"tag", columnar::ColumnType::kString}});
+  PredicateRegistry registry;
+  ASSERT_TRUE(
+      registry.Register(Clause::Of(SimplePredicate::Exact("tag", "hot")), 0.5,
+                        1.0)
+          .ok());
+  constexpr int64_t kBase = 0x0123456789ABCDEF;
+  const auto make_segment = [&] {
+    columnar::RecordBatch batch(schema);
+    BitVectorSet bits(registry.size(), 64);
+    for (size_t i = 0; i < 64; ++i) {
+      batch.mutable_column(0)->AppendInt64(kBase + static_cast<int64_t>(i));
+      batch.mutable_column(1)->AppendString(i % 2 == 0 ? "hot" : "cold");
+      bits.mutable_vector(0)->Set(i, i % 2 == 0);
+    }
+    columnar::TableWriter writer(schema);
+    EXPECT_TRUE(writer.AppendRowGroup(batch, bits).ok());
+    return std::move(writer).Finish();
+  };
+  std::string corrupt = make_segment();
+  // Row 7's value is neither the group's min nor its max, so its bytes
+  // occur once: in the plain-encoded payload.
+  const int64_t needle_value = kBase + 7;
+  const std::string needle(reinterpret_cast<const char*>(&needle_value),
+                           sizeof(needle_value));
+  const size_t pos = corrupt.find(needle);
+  ASSERT_NE(pos, std::string::npos);
+  ASSERT_EQ(corrupt.find(needle, pos + 1), std::string::npos);
+  corrupt[pos] ^= 0x01;
+
+  TableCatalog catalog(schema);
+  catalog.AddSegment(std::move(corrupt), 64, /*annotation_epoch=*/0);
+  catalog.AddSegment(make_segment(), 64, /*annotation_epoch=*/0);
+  const std::vector<SegmentRef> before = catalog.SnapshotSegments();
+
+  RelayoutStats relayout_stats;
+  bool relaid = true;
+  const Status relayout = RelayoutSegments(
+      &catalog, registry, {HotPredicate{0, 1.0}}, /*annotation_epoch=*/0,
+      RelayoutOptions{}, nullptr, &relayout_stats, &relaid);
+  EXPECT_TRUE(relayout.IsCorruption()) << relayout.ToString();
+  EXPECT_FALSE(relaid);
+  EXPECT_EQ(catalog.SnapshotSegments(), before);
+
+  BackfillStats backfill_stats;
+  const Status backfill = BackfillEpochAnnotations(
+      &catalog, registry, /*annotation_epoch=*/1, &backfill_stats);
+  EXPECT_TRUE(backfill.IsCorruption()) << backfill.ToString();
+  EXPECT_EQ(catalog.SnapshotSegments(), before);
 }
 
 TEST(BackfillTest, StaleAnnotationsAreNeverTrusted) {
@@ -331,13 +405,13 @@ TEST(AdaptiveDriftTest, ReplanInstallsNewEpochAndKeepsResultsExact) {
     EXPECT_EQ(adaptive_result->count, cold_result->count) << q.ToSql();
   }
 
-  // Backfilled annotations: no false negatives vs exact typed eval, and
-  // every segment re-tagged with the installed epoch. Snapshot afresh —
-  // the A+B query mix above may have triggered a further re-plan.
+  // Backfilled annotations: exact on rewritten segments, no false
+  // negatives anywhere, and every segment re-tagged with the installed
+  // epoch. Snapshot afresh — the A+B query mix above may have triggered a
+  // further re-plan.
   const auto final_epoch = (*system)->epoch();
   CheckAnnotationsAgainstTypedEval((*system)->catalog(),
-                                   final_epoch->registry(), final_epoch->id,
-                                   /*require_exact=*/false);
+                                   final_epoch->registry(), final_epoch->id);
 
   const EndToEndReport report = (*system)->BuildReport("drift");
   EXPECT_EQ(report.plan_epoch, final_epoch->id);
@@ -494,7 +568,7 @@ TEST(RelayoutTest, ForceRelayoutClustersRowsAndKeepsResultsExact) {
   // bits must match the oracle exactly (not just superset-soundly).
   const auto epoch = (*system)->epoch();
   CheckAnnotationsAgainstTypedEval((*system)->catalog(), epoch->registry(),
-                                   epoch->id, /*require_exact=*/true);
+                                   epoch->id);
   for (const SegmentRef& segment : (*system)->catalog().SnapshotSegments()) {
     EXPECT_TRUE(segment->annotations_exact);
   }
@@ -551,10 +625,17 @@ TEST(AdaptiveDriftTest, ConcurrentQueriesDuringRelayoutStayConsistent) {
   std::atomic<int> wrong_counts{0};
   std::atomic<int> failures{0};
   std::atomic<bool> done{false};
+  // Queries start only once the re-layout thread is about to run its
+  // first pass; otherwise they can all finish before it is scheduled and
+  // no pass overlaps them.
+  std::atomic<bool> relayout_started{false};
   std::vector<std::thread> threads;
   threads.reserve(kThreads + 1);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      while (!relayout_started.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < kItersPerThread; ++i) {
         const size_t qi = (static_cast<size_t>(t) + i) % wl.queries.size();
         auto result = (*system)->ExecuteQuery(wl.queries[qi]);
@@ -569,10 +650,11 @@ TEST(AdaptiveDriftTest, ConcurrentQueriesDuringRelayoutStayConsistent) {
     });
   }
   threads.emplace_back([&] {
-    for (int i = 0; i < kRelayouts && !done.load(std::memory_order_relaxed);
-         ++i) {
+    relayout_started.store(true, std::memory_order_release);
+    for (int i = 0; i < kRelayouts; ++i) {
       auto relaid = controller->ForceRelayout();
       if (!relaid.ok()) failures.fetch_add(1, std::memory_order_relaxed);
+      if (done.load(std::memory_order_relaxed)) break;
     }
   });
   for (size_t t = 0; t < threads.size() - 1; ++t) threads[t].join();
@@ -621,11 +703,9 @@ TEST(QueryPromotionTest, FullScanPromotesOnlyUnscreenableRecords) {
   q.clauses = {pool[5]};
   const uint64_t expected = BruteForceCount(ds.records, q);
 
-  JitStats jit;
-  QueryPromotionStats promotion;
-  ASSERT_TRUE(PromoteForQuery(&catalog, q, registry, /*epoch=*/0, &jit,
-                              &promotion)
-                  .ok());
+  PromotionStats promotion;
+  ASSERT_TRUE(
+      PromoteForQuery(&catalog, q, registry, /*epoch=*/0, &promotion).ok());
   // The screen must rule out the bulk of a 15%-selectivity query's
   // sideline; survivors were parsed and promoted.
   EXPECT_GT(promotion.screened_out, 0u);
@@ -635,7 +715,6 @@ TEST(QueryPromotionTest, FullScanPromotesOnlyUnscreenableRecords) {
             sideline_before);
   EXPECT_EQ(catalog.raw_rows(),
             promotion.screened_out + promotion.parse_failures);
-  EXPECT_EQ(jit.records_parsed, promotion.promoted);
 
   // Counts stay exact; the promoted rows are found in columnar form, the
   // screened-out ones cannot match.
@@ -656,10 +735,8 @@ TEST(QueryPromotionTest, FullScanPromotesOnlyUnscreenableRecords) {
   EXPECT_EQ(skipping->count, BruteForceCount(ds.records, pushed));
 
   // Idempotence: a second pass finds nothing new to promote.
-  QueryPromotionStats again;
-  JitStats jit2;
-  ASSERT_TRUE(
-      PromoteForQuery(&catalog, q, registry, /*epoch=*/0, &jit2, &again).ok());
+  PromotionStats again;
+  ASSERT_TRUE(PromoteForQuery(&catalog, q, registry, /*epoch=*/0, &again).ok());
   EXPECT_EQ(again.promoted, 0u);
 }
 

@@ -699,9 +699,16 @@ TEST(ColumnGroupingE2ETest, ConcurrentQueriesDuringRegroupStayConsistent) {
   std::atomic<int> mismatches{0};
   std::atomic<int> failures{0};
   std::atomic<bool> done{false};
+  // Queries start only once the regroup thread is about to run its first
+  // pass; otherwise they can all finish before it is scheduled and no
+  // pass overlaps them.
+  std::atomic<bool> regroup_started{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      while (!regroup_started.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < kItersPerThread; ++i) {
         const size_t qi = (static_cast<size_t>(t) + i) % wl.queries.size();
         auto result = (*system)->ExecuteQuery(wl.queries[qi]);
@@ -717,10 +724,11 @@ TEST(ColumnGroupingE2ETest, ConcurrentQueriesDuringRegroupStayConsistent) {
     });
   }
   threads.emplace_back([&] {
-    for (int i = 0; i < kRegroups && !done.load(std::memory_order_relaxed);
-         ++i) {
+    regroup_started.store(true, std::memory_order_release);
+    for (int i = 0; i < kRegroups; ++i) {
       auto relaid = controller->ForceRelayout();
       if (!relaid.ok()) failures.fetch_add(1, std::memory_order_relaxed);
+      if (done.load(std::memory_order_relaxed)) break;
     }
   });
   for (size_t t = 0; t < threads.size() - 1; ++t) threads[t].join();

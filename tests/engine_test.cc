@@ -11,6 +11,7 @@
 #include "columnar/json_converter.h"
 #include "json/parser.h"
 #include "predicate/semantic_eval.h"
+#include "storage/jit_loader.h"
 #include "storage/partial_loader.h"
 #include "workload/dataset.h"
 #include "workload/templates.h"
@@ -250,6 +251,84 @@ TEST(ExecutorTest, FullScanCoversRawSideline) {
   EXPECT_EQ(result->plan, PlanKind::kFullScan);
   EXPECT_EQ(result->count, fx.BruteForceCount(q));
   EXPECT_GT(result->stats.raw_records_scanned, 0u);
+
+  // Records the generator never writes — type-mismatched, missing and
+  // null fields, and one that does not parse. The sideline scan must
+  // count and hash them exactly as it does once promotion has moved them
+  // into columns, with or without the raw prefilter.
+  const std::string token = other[3].terms[0].operand.as_string();
+  const std::vector<std::string> odd = {
+      R"({"time":"2016-01-01 00:00:00","level":17,"source":"odd","info":")" +
+          token + R"("})",
+      R"({"level":"Error","info":null})",
+      R"({"level":"Error","source":"odd"})",
+      R"({"time":7,"level":"Error","info":42})",
+      R"({"level":true,"info":")" + token + R"( tail"})",
+      R"({"level":"Error","info":")" + token,  // unparseable
+  };
+  for (const std::string& record : odd) fx.catalog.mutable_raw()->Append(record);
+  const uint64_t sideline = fx.catalog.raw_rows();
+
+  std::vector<Query> queries(4);
+  queries[0].clauses = {other[3]};
+  queries[0].projected = {"level", "source"};
+  queries[1].clauses = {Clause::Of(SimplePredicate::Exact("level", "Error"))};
+  queries[1].projected = {"info", "time"};
+  queries[2].clauses = {Clause::Of(SimplePredicate::Presence("info"))};
+  queries[2].projected = {"info", "level", "no_such_column"};
+  queries[3].clauses = {Clause::Of(SimplePredicate::Presence("time")),
+                        other[3]};
+  queries[3].projected = {"time"};
+  // Odd records each query matches once they are columns: the int and
+  // null "info" values and the non-string "level"/"time" become NULL.
+  const std::vector<uint64_t> odd_matches = {2, 3, 2, 1};
+
+  std::vector<std::vector<QueryResult>> raw_results;
+  for (const bool prefilter : {false, true}) {
+    ExecutorOptions options;
+    options.raw_prefilter = prefilter;
+    QueryExecutor scanner(&fx.catalog, &fx.registry, options);
+    std::vector<QueryResult> results;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto r = scanner.ExecuteFullScan(queries[i]);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->count, fx.BruteForceCount(queries[i]) + odd_matches[i])
+          << queries[i].ToSql() << " prefilter=" << prefilter;
+      EXPECT_EQ(r->projected_hashes.size(), queries[i].projected.size());
+      const ScanStats& st = r->stats;
+      EXPECT_EQ(st.raw_records_scanned + st.raw_records_screened_out +
+                    st.raw_parse_errors,
+                sideline);
+      if (!prefilter) {
+        EXPECT_EQ(st.raw_records_screened_out, 0u);
+        EXPECT_EQ(st.raw_parse_errors, 1u);
+      }
+      results.push_back(std::move(r).value());
+    }
+    raw_results.push_back(std::move(results));
+  }
+  // The token query's screen rules most of the sideline out unparsed.
+  EXPECT_GT(raw_results[1][0].stats.raw_records_screened_out, 0u);
+
+  PromotionStats promotion;
+  ASSERT_TRUE(PromoteRawToColumnar(&fx.catalog, fx.registry,
+                                   /*annotation_epoch=*/0, &promotion)
+                  .ok());
+  EXPECT_EQ(promotion.promoted, sideline - 1);
+  EXPECT_EQ(promotion.parse_failures, 1u);
+  ASSERT_EQ(fx.catalog.raw_rows(), 1u);
+  QueryExecutor promoted(&fx.catalog, &fx.registry);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto r = promoted.ExecuteFullScan(queries[i]);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->stats.raw_records_scanned, 0u);
+    EXPECT_EQ(r->stats.raw_parse_errors, 1u);
+    for (const std::vector<QueryResult>& raw : raw_results) {
+      EXPECT_EQ(r->count, raw[i].count) << queries[i].ToSql();
+      EXPECT_EQ(r->projected_hashes, raw[i].projected_hashes)
+          << queries[i].ToSql();
+    }
+  }
 }
 
 TEST(ExecutorTest, GroupSkippingTriggersOnImpossiblePredicates) {

@@ -217,14 +217,10 @@ TEST(ClientFilterTest, BitvectorsMatchProgramEvaluation) {
 }
 
 // Promotion must preserve the no-false-negative property end-to-end:
-// after the raw sideline is promoted to columnar — with the legacy
-// all-zero annotations OR the re-evaluating overload — every skipping
-// scan still returns exactly the brute-force count. The legacy all-zero
-// bits are sound because a record reaches the sideline only when it
-// matches NO pushed predicate (client filter has no false negatives), so
-// "no bits set" is exact, not pessimistic — see jit_loader.h. The
-// re-evaluating overload must additionally reproduce bits with no false
-// negatives so skipping scans keep skipping.
+// after the raw sideline is promoted to columnar, every skipping scan
+// still returns exactly the brute-force count. Promotion re-evaluates the
+// registry on the raw bytes, so the promoted rows' bits carry no false
+// negatives and skipping scans keep skipping.
 TEST(PromotionSoundnessTest, NoFalseNegativesAfterPromotion) {
   const workload::Dataset ds = workload::GenerateWinLog({400, 91});
   const auto pool = workload::MicroTierPredicates(0.15);
@@ -246,53 +242,45 @@ TEST(PromotionSoundnessTest, NoFalseNegativesAfterPromotion) {
     }
   }
 
-  for (const bool reevaluate : {false, true}) {
-    TableCatalog catalog(ds.schema);
-    PartialLoader loader(ds.schema, registry.size());
-    ClientFilter filter(&registry);
-    LoadStats load_stats;
-    PrefilterStats prefilter_stats;
-    for (size_t start = 0; start < ds.records.size(); start += 64) {
-      const size_t end = std::min(start + 64, ds.records.size());
-      json::JsonChunk chunk;
-      for (size_t i = start; i < end; ++i) {
-        chunk.AppendSerialized(ds.records[i]);
-      }
-      const BitVectorSet bits = filter.Evaluate(chunk, &prefilter_stats);
-      ASSERT_TRUE(loader
-                      .IngestChunk(chunk, bits, /*partial_loading_enabled=*/
-                                   true, &catalog, &load_stats)
-                      .ok());
+  TableCatalog catalog(ds.schema);
+  PartialLoader loader(ds.schema, registry.size());
+  ClientFilter filter(&registry);
+  LoadStats load_stats;
+  PrefilterStats prefilter_stats;
+  for (size_t start = 0; start < ds.records.size(); start += 64) {
+    const size_t end = std::min(start + 64, ds.records.size());
+    json::JsonChunk chunk;
+    for (size_t i = start; i < end; ++i) {
+      chunk.AppendSerialized(ds.records[i]);
     }
-    ASSERT_GT(catalog.raw_rows(), 0u) << "test needs a non-empty sideline";
+    const BitVectorSet bits = filter.Evaluate(chunk, &prefilter_stats);
+    ASSERT_TRUE(loader
+                    .IngestChunk(chunk, bits, /*partial_loading_enabled=*/
+                                 true, &catalog, &load_stats)
+                    .ok());
+  }
+  ASSERT_GT(catalog.raw_rows(), 0u) << "test needs a non-empty sideline";
 
-    JitStats jit;
-    if (reevaluate) {
-      ASSERT_TRUE(
-          PromoteRawToColumnar(&catalog, registry, /*annotation_epoch=*/0,
-                               &jit)
-              .ok());
-    } else {
-      ASSERT_TRUE(PromoteRawToColumnar(&catalog, registry.size(), &jit).ok());
-    }
-    EXPECT_EQ(catalog.raw_rows(), 0u);
-    EXPECT_EQ(catalog.loaded_rows(), ds.records.size());
+  PromotionStats promotion;
+  ASSERT_TRUE(PromoteRawToColumnar(&catalog, registry, /*annotation_epoch=*/0,
+                                   &promotion)
+                  .ok());
+  EXPECT_EQ(catalog.raw_rows(), 0u);
+  EXPECT_EQ(catalog.loaded_rows(), ds.records.size());
 
-    QueryExecutor executor(&catalog, &registry);
-    for (size_t p = 0; p < registry.size(); ++p) {
-      Query q;
-      q.clauses = {registry.Get(static_cast<uint32_t>(p)).clause};
-      auto skipping = executor.Execute(q);
-      ASSERT_TRUE(skipping.ok());
-      EXPECT_EQ(skipping->plan, PlanKind::kSkippingScan);
-      EXPECT_EQ(skipping->count, expected[p])
-          << "FALSE NEGATIVE after promotion (reevaluate=" << reevaluate
-          << "): " << q.ToSql();
-      // The forced full scan agrees — promotion lost no rows.
-      auto full = executor.ExecuteFullScan(q);
-      ASSERT_TRUE(full.ok());
-      EXPECT_EQ(full->count, expected[p]);
-    }
+  QueryExecutor executor(&catalog, &registry);
+  for (size_t p = 0; p < registry.size(); ++p) {
+    Query q;
+    q.clauses = {registry.Get(static_cast<uint32_t>(p)).clause};
+    auto skipping = executor.Execute(q);
+    ASSERT_TRUE(skipping.ok());
+    EXPECT_EQ(skipping->plan, PlanKind::kSkippingScan);
+    EXPECT_EQ(skipping->count, expected[p])
+        << "FALSE NEGATIVE after promotion: " << q.ToSql();
+    // The forced full scan agrees — promotion lost no rows.
+    auto full = executor.ExecuteFullScan(q);
+    ASSERT_TRUE(full.ok());
+    EXPECT_EQ(full->count, expected[p]);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "client/client_filter.h"
 #include "columnar/file_reader.h"
 #include "common/random.h"
 #include "json/parser.h"
@@ -503,54 +504,77 @@ TEST(PartialLoaderTest, IngestMessageCompletesMissingPredicates) {
 
 // ---------- JIT loader ----------
 
-TEST(JitLoaderTest, ForEachRawRecordParsesAndCounts) {
-  RawStore store;
-  store.Append(R"({"a":1,"s":"x"})");
-  store.Append("{bad json");
-  store.Append(R"({"a":2,"s":"y"})");
-
-  JitStats stats;
-  int64_t sum = 0;
-  ASSERT_TRUE(ForEachRawRecord(
-                  store,
-                  [&](const json::Value& v) { sum += v.Find("a")->as_int(); },
-                  &stats)
-                  .ok());
-  EXPECT_EQ(stats.records_parsed, 2u);
-  EXPECT_EQ(stats.parse_errors, 1u);
-  EXPECT_EQ(sum, 3);
-  EXPECT_GT(stats.seconds, 0.0);
-}
-
 TEST(JitLoaderTest, PromoteRawToColumnar) {
   LoaderFixture fx;
-  PartialLoader loader(fx.schema, 1);
-  BitVectorSet annotations(1, 6);
+  PredicateRegistry registry;
+  ASSERT_TRUE(
+      registry.Register(Clause::Of(SimplePredicate::Exact("s", "v1")), 0.3, 1.0)
+          .ok());
+  ASSERT_TRUE(registry
+                  .Register(Clause::Of(SimplePredicate::KeyValue(
+                                "a", json::Value(int64_t{4}))),
+                            0.2, 1.0)
+                  .ok());
+  PartialLoader loader(fx.schema, registry.size());
+  BitVectorSet annotations(registry.size(), 6);
   annotations.mutable_vector(0)->Set(0, true);  // only row 0 loaded
   ASSERT_TRUE(loader
                   .IngestChunk(fx.Chunk(6), annotations, true, &fx.catalog,
                                &fx.stats)
                   .ok());
-  ASSERT_EQ(fx.catalog.raw_rows(), 5u);
+  fx.catalog.mutable_raw()->Append("{bad json");
+  ASSERT_EQ(fx.catalog.raw_rows(), 6u);
   const uint64_t loaded_before = fx.catalog.loaded_rows();
+  json::JsonChunk sidelined;  // the five parseable records, in order
+  for (size_t i = 0; i < 5; ++i) {
+    sidelined.AppendSerialized(fx.catalog.raw().Record(i));
+  }
 
-  JitStats jit;
-  ASSERT_TRUE(PromoteRawToColumnar(&fx.catalog, 1, &jit).ok());
-  EXPECT_EQ(fx.catalog.raw_rows(), 0u);
+  PromotionStats stats;
+  ASSERT_TRUE(
+      PromoteRawToColumnar(&fx.catalog, registry, /*annotation_epoch=*/3,
+                           &stats)
+          .ok());
+  EXPECT_EQ(stats.promoted, 5u);
+  EXPECT_EQ(stats.screened_out, 0u);
+  // The unparseable record stays raw and is counted.
+  EXPECT_EQ(stats.parse_failures, 1u);
+  EXPECT_EQ(fx.catalog.raw_rows(), 1u);
+  EXPECT_EQ(fx.catalog.raw().Record(0), "{bad json");
   EXPECT_EQ(fx.catalog.loaded_rows(), loaded_before + 5);
-  EXPECT_EQ(jit.records_parsed, 5u);
 
-  // Promoted rows carry all-zero annotations (skipping stays sound).
-  const size_t last = fx.catalog.num_segments() - 1;
-  auto reader =
-      columnar::TableReader::OpenBorrowed(fx.catalog.segment(last).file_bytes);
+  // The promoted rows carry the client filter's bits for the registry,
+  // tagged with the promotion's epoch.
+  const size_t num_segments = fx.catalog.num_segments();
+  const ColumnarSegment& promoted = fx.catalog.segment(num_segments - 1);
+  EXPECT_EQ(promoted.num_rows, 5u);
+  EXPECT_EQ(promoted.annotation_epoch, 3u);
+  auto reader = columnar::TableReader::OpenBorrowed(promoted.file_bytes);
+  ASSERT_TRUE(reader.ok());
   auto meta = reader->ReadMeta(0);
   ASSERT_TRUE(meta.ok());
-  EXPECT_EQ(meta->annotations.num_predicates(), 1u);
-  EXPECT_FALSE(meta->annotations.vector(0).Any());
+  PrefilterStats prefilter_stats;
+  const BitVectorSet expected =
+      ClientFilter(&registry).Evaluate(sidelined, &prefilter_stats);
+  EXPECT_EQ(meta->annotations, expected);
+  EXPECT_TRUE(expected.vector(0).Any());  // rows with s == "v1" exist
+  EXPECT_TRUE(expected.vector(1).Any());  // and the row with a == 4
 
-  // Promoting an empty raw store is a no-op.
-  ASSERT_TRUE(PromoteRawToColumnar(&fx.catalog, 1, &jit).ok());
+  // Nothing left to convert: the unparseable record stays where it is and
+  // no segment is published.
+  PromotionStats again;
+  ASSERT_TRUE(PromoteRawToColumnar(&fx.catalog, registry, 3, &again).ok());
+  EXPECT_EQ(again.promoted, 0u);
+  EXPECT_EQ(again.parse_failures, 1u);
+  EXPECT_EQ(fx.catalog.num_segments(), num_segments);
+  EXPECT_EQ(fx.catalog.raw_rows(), 1u);
+
+  // Promoting an empty sideline is a no-op.
+  LoaderFixture empty;
+  PromotionStats none;
+  ASSERT_TRUE(PromoteRawToColumnar(&empty.catalog, registry, 0, &none).ok());
+  EXPECT_EQ(none.promoted + none.screened_out + none.parse_failures, 0u);
+  EXPECT_EQ(empty.catalog.num_segments(), 0u);
 }
 
 // ---------- Catalog ----------

@@ -462,9 +462,9 @@ TEST(VectorizedEvalConcurrencyTest, QueriesDuringPromotionStayExact) {
     });
   }
   threads.emplace_back([&] {
-    JitStats jit;
+    PromotionStats promotion;
     Status st = PromoteRawToColumnar(&fx.catalog, fx.registry,
-                                     /*annotation_epoch=*/0, &jit);
+                                     /*annotation_epoch=*/0, &promotion);
     EXPECT_TRUE(st.ok()) << st.ToString();
     promoted.store(true, std::memory_order_release);
   });
