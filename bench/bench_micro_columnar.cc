@@ -1,12 +1,16 @@
 // Micro: columnar codec throughput — encode and decode per column type,
 // plus dictionary vs plain strings (the server-side loading/scan costs).
 // The BM_DecodeGroup cells decode one row group's column (1000 rows, ~10%
-// NULL), the unit a skipping scan decodes per surviving group.
+// NULL), the unit a skipping scan decodes per surviving group. The
+// BM_Crc32 cells checksum 4 KiB and 256 KiB (about one spilled YCSB
+// segment, which a fresh mapping verifies in full) and count bytes as
+// items.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_gbench_main.h"
 #include "columnar/encoding.h"
+#include "common/crc32.h"
 #include "common/random.h"
 
 namespace {
@@ -75,6 +79,17 @@ void BM_DecodeGroup(benchmark::State& state, ColumnType type,
   DecodeLoop(state, MakeColumn(type, 1000, distinct, 0.1));
 }
 
+void BM_Crc32(benchmark::State& state) {
+  const size_t len = static_cast<size_t>(state.range(0));
+  Rng rng(17);
+  std::string bytes(len, '\0');
+  for (char& b : bytes) b = static_cast<char>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(len));
+}
+
 }  // namespace
 
 BENCHMARK_CAPTURE(BM_Encode, int64, ColumnType::kInt64, 0);
@@ -92,5 +107,6 @@ BENCHMARK_CAPTURE(BM_DecodeGroup, double, ColumnType::kDouble, 0);
 BENCHMARK_CAPTURE(BM_DecodeGroup, bool, ColumnType::kBool, 0);
 BENCHMARK_CAPTURE(BM_DecodeGroup, string_dict, ColumnType::kString, 8);
 BENCHMARK_CAPTURE(BM_DecodeGroup, string_plain, ColumnType::kString, 1000000);
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(256 << 10);
 
 CIAO_BENCH_JSON_MAIN("bench_micro_columnar")

@@ -1,4 +1,4 @@
-#include "matcher/simd_gate.h"
+#include "common/simd_gate.h"
 
 #include <atomic>
 #include <cctype>
@@ -8,6 +8,10 @@
 namespace ciao {
 
 namespace {
+
+constexpr unsigned Bit(SimdFeature feature) {
+  return 1u << static_cast<int>(feature);
+}
 
 unsigned ParseFromEnv() {
   const char* env = std::getenv("CIAO_DISABLE_SIMD");
@@ -38,13 +42,13 @@ unsigned ParseSimdDisableList(std::string_view list) {
             static_cast<char>(std::tolower(static_cast<unsigned char>(ch))));
       }
     }
-    if (token == "sse2") mask |= 1u << static_cast<int>(SimdFeature::kSse2);
-    if (token == "ssse3") mask |= 1u << static_cast<int>(SimdFeature::kSsse3);
-    if (token == "avx2") mask |= 1u << static_cast<int>(SimdFeature::kAvx2);
+    if (token == "sse2") mask |= Bit(SimdFeature::kSse2);
+    if (token == "ssse3") mask |= Bit(SimdFeature::kSsse3);
+    if (token == "avx2") mask |= Bit(SimdFeature::kAvx2);
+    if (token == "pclmul") mask |= Bit(SimdFeature::kPclmul);
     if (token == "all") {
-      mask |= (1u << static_cast<int>(SimdFeature::kSse2)) |
-              (1u << static_cast<int>(SimdFeature::kSsse3)) |
-              (1u << static_cast<int>(SimdFeature::kAvx2));
+      mask |= Bit(SimdFeature::kSse2) | Bit(SimdFeature::kSsse3) |
+              Bit(SimdFeature::kAvx2) | Bit(SimdFeature::kPclmul);
     }
     if (end == list.size()) break;
     start = end + 1;
@@ -53,8 +57,7 @@ unsigned ParseSimdDisableList(std::string_view list) {
 }
 
 bool SimdFeatureDisabled(SimdFeature feature) {
-  return (CachedMask().load(std::memory_order_relaxed) &
-          (1u << static_cast<int>(feature))) != 0;
+  return (CachedMask().load(std::memory_order_relaxed) & Bit(feature)) != 0;
 }
 
 void ReloadSimdDisableMaskForTest() {

@@ -60,8 +60,9 @@ Result<PinnedSegment> MappingCache::Pin(const SegmentFile& file) {
   // Miss: map and verify outside the lock, so a large file's CRC pass
   // never stalls concurrent pins of other (or already-cached) segments.
   // Two threads may race to map the same file; both mappings are valid,
-  // the first to insert wins the cache slot and the loser's unmaps when
-  // its pins drop.
+  // the first to insert wins the cache slot (and alone counts as created,
+  // matching the one fresh_mapping pin) and the loser's unmaps when its
+  // pins drop.
   CIAO_ASSIGN_OR_RETURN(std::shared_ptr<const MappedFile> mapping,
                         MappedFile::Map(file.path));
   CIAO_ASSIGN_OR_RETURN(
@@ -69,7 +70,6 @@ Result<PinnedSegment> MappingCache::Pin(const SegmentFile& file) {
       columnar::TableReader::OpenBorrowed(mapping->bytes(),
                                           columnar::ChecksumMode::kTrust));
   CIAO_RETURN_IF_ERROR(reader.VerifyAllGroups());
-  mappings_created_.fetch_add(1, std::memory_order_relaxed);
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(file.path);
@@ -78,6 +78,7 @@ Result<PinnedSegment> MappingCache::Pin(const SegmentFile& file) {
     return PinnedSegment{it->second->mapping->bytes(), it->second->mapping,
                          /*fresh_mapping=*/false};
   }
+  mappings_created_.fetch_add(1, std::memory_order_relaxed);
   lru_.push_front(Entry{file.path, mapping});
   index_[file.path] = lru_.begin();
   cached_bytes_ += mapping->bytes().size();

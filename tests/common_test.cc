@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/crc32.h"
+#include "common/crc32_internal.h"
 #include "common/matrix.h"
 #include "common/random.h"
 #include "common/stats.h"
@@ -341,6 +344,102 @@ TEST(Crc32Test, DetectsSingleBitFlip) {
   const uint32_t before = Crc32(data);
   data[3] ^= 1;
   EXPECT_NE(before, Crc32(data));
+}
+
+// Differential checks of both kernels against an independent
+// bit-at-a-time CRC-32. The fold only runs on inputs of 64 bytes or more,
+// so these cover lengths and alignments well past it.
+
+/// Advances the raw (inverted) CRC register one bit at a time.
+uint32_t BitwiseStep(uint32_t c, unsigned char byte) {
+  c ^= byte;
+  for (int bit = 0; bit < 8; ++bit) {
+    c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return c;
+}
+
+uint32_t BitwiseCrc32(const unsigned char* p, size_t len, uint32_t seed) {
+  uint32_t c = ~seed;
+  for (size_t i = 0; i < len; ++i) c = BitwiseStep(c, p[i]);
+  return ~c;
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.Next());
+  return bytes;
+}
+
+using Crc32Fn = uint32_t (*)(const void*, size_t, uint32_t);
+
+/// Every kernel this host can run, named for failure messages.
+std::vector<std::pair<const char*, Crc32Fn>> Kernels() {
+  std::vector<std::pair<const char*, Crc32Fn>> kernels = {
+      {"dispatch", &Crc32}, {"portable", &internal::Crc32Portable}};
+  if (internal::Crc32FoldSupported()) {
+    kernels.emplace_back("fold", &internal::Crc32Folded);
+  }
+  return kernels;
+}
+
+TEST(Crc32Test, KernelsMatchBitwiseOracleAtEveryLengthAndAlignment) {
+  constexpr size_t kMaxLen = 2100;
+  const auto bytes = RandomBytes(kMaxLen + 16, 7);
+  Rng rng(99);
+  for (size_t misalign = 0; misalign < 16; ++misalign) {
+    const unsigned char* p = bytes.data() + misalign;
+    for (const uint32_t seed : {0u, 0xFFFFFFFFu,
+                                static_cast<uint32_t>(rng.Next())}) {
+      // The oracle advances one byte per length, so each (alignment, seed)
+      // pass costs O(kMaxLen) oracle work.
+      uint32_t state = ~seed;
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        if (len > 0) state = BitwiseStep(state, p[len - 1]);
+        for (const auto& [name, kernel] : Kernels()) {
+          ASSERT_EQ(kernel(p, len, seed), ~state)
+              << name << " len=" << len << " misalign=" << misalign
+              << " seed=" << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedSplitsEqualWholeBuffer) {
+  const auto bytes = RandomBytes(5000, 11);
+  const uint32_t whole = BitwiseCrc32(bytes.data(), bytes.size(), 0);
+  Rng rng(5);
+  for (const auto& [name, kernel] : Kernels()) {
+    ASSERT_EQ(kernel(bytes.data(), bytes.size(), 0), whole) << name;
+    for (int trial = 0; trial < 2000; ++trial) {
+      // Two random cut points, so pieces land on and off 16-byte bounds
+      // and on both sides of the fold threshold.
+      size_t a = rng.NextBounded(bytes.size() + 1);
+      size_t b = rng.NextBounded(bytes.size() + 1);
+      if (a > b) std::swap(a, b);
+      uint32_t c = kernel(bytes.data(), a, 0);
+      c = kernel(bytes.data() + a, b - a, c);
+      c = kernel(bytes.data() + b, bytes.size() - b, c);
+      ASSERT_EQ(c, whole) << name << " cuts at " << a << "," << b;
+    }
+  }
+}
+
+TEST(Crc32Test, EverySingleBitFlipIsDetected) {
+  auto bytes = RandomBytes(256, 13);
+  for (const auto& [name, kernel] : Kernels()) {
+    const uint32_t clean = kernel(bytes.data(), bytes.size(), 0);
+    for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+      bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+      const uint32_t flipped = kernel(bytes.data(), bytes.size(), 0);
+      EXPECT_NE(flipped, clean) << name << " bit " << bit;
+      EXPECT_EQ(flipped, BitwiseCrc32(bytes.data(), bytes.size(), 0))
+          << name << " bit " << bit;
+      bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    }
+  }
 }
 
 // ---------- string_util ----------

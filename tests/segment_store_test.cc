@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <barrier>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bitvec/bitvector_set.h"
@@ -130,6 +133,45 @@ TEST(SegmentStoreTest, MappingCacheEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(pin_a->fresh_mapping);
   EXPECT_EQ(pin_a->bytes, a_bytes);
   EXPECT_EQ((*store)->cache()->mappings_created(), 3u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SegmentStoreTest, RacingMissesCountOnlyTheCachedMapping) {
+  const std::string dir = TempDir("ciao_store_race");
+  SegmentStore::Options options;
+  options.dir = dir;
+  auto store = SegmentStore::Open(options);
+  ASSERT_TRUE(store.ok());
+  // Large enough that map + fault + verify leaves a window for both
+  // threads to miss before either inserts.
+  ColumnarSegment segment = MakeSegment(20000);
+  ASSERT_TRUE((*store)->SpillSegment(&segment).ok());
+  MappingCache& cache = *(*store)->cache();
+
+  constexpr int kRounds = 20;
+  uint64_t fresh_pins = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    cache.Invalidate(segment.disk->path);
+    std::barrier start(2);
+    std::array<bool, 2> ok{};
+    std::array<bool, 2> fresh{};
+    auto pin = [&](int i) {
+      start.arrive_and_wait();
+      auto pinned = PinSegment(segment);
+      ok[i] = pinned.ok();
+      fresh[i] = pinned.ok() && pinned->fresh_mapping;
+    };
+    std::thread t0(pin, 0);
+    std::thread t1(pin, 1);
+    t0.join();
+    t1.join();
+    ASSERT_TRUE(ok[0] && ok[1]);
+    // Whether or not both threads mapped the file, exactly one pin took
+    // the cache slot, and only that mapping counts as created.
+    EXPECT_EQ(fresh[0] + fresh[1], 1) << "round " << round;
+    fresh_pins += fresh[0] + fresh[1];
+    ASSERT_EQ(cache.mappings_created(), fresh_pins) << "round " << round;
+  }
   std::filesystem::remove_all(dir);
 }
 
